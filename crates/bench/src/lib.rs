@@ -1,11 +1,13 @@
-//! Experiment regeneration binaries and Criterion benchmarks.
+//! The command-line tools and Criterion benchmarks.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index); the Criterion benches under `benches/`
-//! track the *simulator's own* performance. Scale the experiments with
-//! `CI_REPRO_INSTRUCTIONS=<n>`.
+//! `repro <name>` regenerates one table or figure of the paper (or `all` of
+//! them) from the registry in `experiments::EXPERIMENTS`; `explore`,
+//! `inspect`, `fuzz`, `profile` and `throughput` sweep, inspect, fuzz and
+//! profile the simulator (see `DESIGN.md` for the index). The Criterion
+//! benches under `benches/` track the *simulator's own* performance. Scale
+//! the experiments with `CI_REPRO_INSTRUCTIONS=<n>`.
 //!
-//! Every binary accepts the shared flags of [`cli::Cli`]:
+//! Every binary except `fuzz` accepts the shared flags of [`cli::Cli`]:
 //!
 //! - `--json <path>`: export every printed table as JSON lines.
 //! - `--workers <n>` / `-j <n>`: simulation-cell parallelism (default:
@@ -20,7 +22,7 @@
 //!   (cache hit rates, pool utilization, slowest cells).
 
 pub mod cli {
-    //! Shared command-line plumbing for the experiment binaries: the common
+    //! Shared command-line plumbing for the binaries: the common
     //! flags, the [`Engine`] behind `--workers`/`--cache-dir`, and the table
     //! emitter behind `--json`.
 
@@ -158,7 +160,7 @@ pub mod cli {
         /// JSON lines and the `--metrics` run report (host-side wall times
         /// are nondeterministic, so neither ever goes into the byte-compared
         /// `--json` artifact), persist the cell cache, and print a one-line
-        /// cache/timing summary to stderr.
+        /// cache/timing summary to stderr when the engine served any cell.
         pub fn finish(mut self) {
             self.out.finish();
             if let Some(path) = &self.timing {
@@ -175,7 +177,9 @@ pub mod cli {
             if let Err(e) = self.engine.save_cache() {
                 panic!("cannot persist cell cache: {e}");
             }
-            eprint!("{}", self.engine.timing_summary(5));
+            if self.engine.cells_computed() + self.engine.cache_hits() > 0 {
+                eprint!("{}", self.engine.timing_summary(5));
+            }
         }
     }
 }

@@ -1,23 +1,25 @@
-//! End-to-end check of `--json`: run the `table1` binary, parse the JSON
-//! lines it writes with the crate's own parser, and cross-check the export
-//! against the text table on stdout.
+//! End-to-end checks of the `repro` binary: run `repro table1 --json`,
+//! parse the JSON lines it writes with the crate's own parser, and
+//! cross-check the export against the text table on stdout; plus its
+//! usage errors.
 
 use ci_obs::json::{parse, JsonValue};
+use control_independence::experiments::EXPERIMENTS;
 use std::process::Command;
 
 #[test]
 fn table1_json_export_round_trips() {
     let out_path =
         std::env::temp_dir().join(format!("ci_json_export_{}.jsonl", std::process::id()));
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .arg("--json")
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--json"])
         .arg(&out_path)
         .env("CI_REPRO_INSTRUCTIONS", "4000")
         .output()
-        .expect("table1 binary runs");
+        .expect("repro binary runs");
     assert!(
         output.status.success(),
-        "table1 failed: {}",
+        "repro table1 failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
@@ -61,10 +63,26 @@ fn table1_json_export_round_trips() {
 
 #[test]
 fn json_flag_requires_path() {
-    let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .arg("--json")
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--json"])
         .output()
-        .expect("table1 binary runs");
+        .expect("repro binary runs");
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("--json requires an argument"));
+}
+
+#[test]
+fn unknown_or_missing_name_lists_the_registry() {
+    for args in [&["table9"][..], &[]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(output.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        for e in &EXPERIMENTS {
+            assert!(stderr.contains(e.name), "usage omits {}: {stderr}", e.name);
+        }
+        assert!(output.stdout.is_empty(), "args {args:?} printed a table");
+    }
 }

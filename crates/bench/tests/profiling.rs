@@ -10,6 +10,16 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ci_profiling_{}_{name}", std::process::id()))
 }
 
+/// `profile` and `throughput` simulate directly, never through the cell
+/// engine, so the engine's cache summary would only report zeros.
+fn assert_no_engine_footer(binary: &str, stderr: &[u8]) {
+    let stderr = String::from_utf8_lossy(stderr);
+    assert!(
+        !stderr.contains("cells: 0 computed"),
+        "{binary} printed an empty engine summary:\n{stderr}"
+    );
+}
+
 #[test]
 fn profile_reports_spans_and_writes_a_chrome_trace() {
     // Coverage is a wall-clock measurement: on a contended host the
@@ -50,6 +60,7 @@ fn profile_once() -> f64 {
         "profile failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    assert_no_engine_footer("profile", &output.stderr);
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
     for needle in [
         "span tree",
@@ -116,6 +127,7 @@ fn throughput_emits_mips_report_and_gates_on_baseline() {
         "throughput failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    assert_no_engine_footer("throughput", &output.stderr);
     let report_text = std::fs::read_to_string(&json).expect("--json wrote the file");
     let report = parse(report_text.trim()).expect("report is valid JSON");
     assert_eq!(

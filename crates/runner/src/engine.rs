@@ -7,7 +7,7 @@ use crate::fault::FaultPlan;
 use crate::memo::Memo;
 use crate::metrics::{CellReport, PoolReport, RunMetrics, SweepSummary};
 use crate::persist::{output_from_json, output_to_json, quarantine_cache_file};
-use crate::pool::{run_batch, run_batch_catching, PoolStats};
+use crate::pool::run_batch;
 use ci_core::{PipelineConfig, Stats};
 use ci_ideal::{IdealResult, ModelKind};
 use ci_obs::json::{parse, JsonValue};
@@ -33,8 +33,7 @@ pub struct EngineOptions {
     /// resumable runs. `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Deterministic fault-injection plan. `None` — the production default —
-    /// costs one pointer test per injection point (see the `fault_overhead`
-    /// bench).
+    /// costs one pointer test per injection point.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -208,12 +207,6 @@ impl Engine {
         *self.sweep.lock().unwrap() = Some(summary);
     }
 
-    /// The active fault-injection plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
     /// Faults injected so far (0 without a plan).
     #[must_use]
     pub fn faults_injected(&self) -> u64 {
@@ -246,36 +239,6 @@ impl Engine {
         let mut timing = self.timing.lock().unwrap();
         timing.pool.batches += 1;
         timing.pool.stats.absorb(&stats);
-    }
-
-    /// [`Engine::prefetch`] with per-cell panic isolation: a cell whose
-    /// computation panics (a real bug or an injected fault) is counted in
-    /// [`PoolStats::panicked`] and skipped — the memo unpoisons the key, so
-    /// a later [`Engine::cell`] retry recomputes it — while every other
-    /// cell completes normally. Returns this batch's stats.
-    pub fn prefetch_isolated(&self, specs: &[CellSpec]) -> PoolStats {
-        let mut seen = HashSet::new();
-        let todo: Vec<CellSpec> = specs
-            .iter()
-            .filter(|s| seen.insert(s.canonical()) && self.cells.peek(&s.canonical()).is_none())
-            .cloned()
-            .collect();
-        let jobs: Vec<_> = todo
-            .into_iter()
-            .map(|spec| {
-                move || {
-                    let _ = self.cell(&spec);
-                }
-            })
-            .collect();
-        if jobs.is_empty() {
-            return PoolStats::default();
-        }
-        let stats = run_batch_catching(self.workers, jobs);
-        let mut timing = self.timing.lock().unwrap();
-        timing.pool.batches += 1;
-        timing.pool.stats.absorb(&stats);
-        stats
     }
 
     /// The output of one cell, computed on the calling thread if missing.

@@ -1,23 +1,18 @@
-//! Deterministic, seeded fault injection for the engine and the serve
-//! daemon built on top of it.
+//! Deterministic, seeded fault injection for the engine.
 //!
 //! A [`FaultPlan`] decides, as a pure function of its seed and the
 //! *injection site + subject key*, whether a fault fires at a given point —
-//! never from wall-clock time or thread scheduling, so a soak run under an
+//! never from wall-clock time or thread scheduling, so a run under an
 //! active plan is exactly reproducible. Each site selects a deterministic
 //! subset of keys (one in `rate`) and fails each selected key at most
 //! `budget` times before letting it succeed, which is what makes "every
 //! failure is recoverable" provable: a panicking cell panics the same
 //! number of times on every run, then computes normally.
 //!
-//! The plan is threaded through [`Engine`](crate::Engine) (cell compute
-//! panics and latency, cache read corruption, cache write errors) and used
-//! directly by the serve daemon's workers (worker kill) and the load
-//! generator (client stalls and disconnects). The default is
-//! `Option<Arc<FaultPlan>>::None`: a single pointer test on the cold side
-//! of a multi-millisecond simulation, verified within noise by the
-//! `fault_overhead` bench (the same pattern `obs_overhead` uses for the
-//! probe seam).
+//! The plan is threaded through [`Engine`](crate::Engine): cell compute
+//! panics and latency, cache read corruption, and cache write errors. The
+//! default is `Option<Arc<FaultPlan>>::None`: a single pointer test on the
+//! cold side of a multi-millisecond simulation.
 
 use crate::cell::fnv1a;
 use std::collections::HashMap;
@@ -36,27 +31,18 @@ pub enum FaultSite {
     CacheRead,
     /// Persisting the cache fails with an I/O error.
     CacheWrite,
-    /// A serve worker thread dies.
-    WorkerKill,
-    /// A client stalls between protocol lines.
-    ClientStall,
-    /// A client drops its connection before draining responses.
-    ClientDisconnect,
 }
 
 impl FaultSite {
     /// All sites, for counter reports.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::ComputePanic,
         FaultSite::ComputeLatency,
         FaultSite::CacheRead,
         FaultSite::CacheWrite,
-        FaultSite::WorkerKill,
-        FaultSite::ClientStall,
-        FaultSite::ClientDisconnect,
     ];
 
-    /// Stable short name (used in metrics and the CLI plan syntax).
+    /// Stable short name (used in metrics).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -64,22 +50,11 @@ impl FaultSite {
             FaultSite::ComputeLatency => "latency",
             FaultSite::CacheRead => "cache_read",
             FaultSite::CacheWrite => "cache_write",
-            FaultSite::WorkerKill => "kill",
-            FaultSite::ClientStall => "stall",
-            FaultSite::ClientDisconnect => "disconnect",
         }
     }
 
     fn index(self) -> usize {
-        match self {
-            FaultSite::ComputePanic => 0,
-            FaultSite::ComputeLatency => 1,
-            FaultSite::CacheRead => 2,
-            FaultSite::CacheWrite => 3,
-            FaultSite::WorkerKill => 4,
-            FaultSite::ClientStall => 5,
-            FaultSite::ClientDisconnect => 6,
-        }
+        self as usize
     }
 }
 
@@ -90,7 +65,7 @@ struct SiteConfig {
     rate: u64,
     /// Times each selected key fires before succeeding forever.
     budget: u32,
-    /// Injected delay for latency/stall sites.
+    /// Injected delay for the latency site.
     delay: Duration,
 }
 
@@ -99,8 +74,7 @@ struct SiteConfig {
 pub const INJECTED_PANIC: &str = "injected fault:";
 
 /// SplitMix64 finalizer: decorrelates (seed, site, key) into selection bits.
-#[must_use]
-pub fn mix(mut x: u64) -> u64 {
+fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -108,18 +82,17 @@ pub fn mix(mut x: u64) -> u64 {
 
 /// A deterministic, seeded fault-injection plan (see the module docs).
 ///
-/// Cheap to share: engine and serve layers hold it as
-/// `Option<Arc<FaultPlan>>`, where `None` is the zero-cost production
-/// default.
+/// Cheap to share: the engine holds it as `Option<Arc<FaultPlan>>`, where
+/// `None` is the zero-cost production default.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
-    sites: [SiteConfig; 7],
+    sites: [SiteConfig; FaultSite::ALL.len()],
     /// Attempts so far per (site, key-hash): how many times the fault has
     /// fired for that subject. Interior mutability keeps the injection API
     /// `&self`, matching the engine's sharing model.
     attempts: Mutex<HashMap<(usize, u64), u32>>,
-    injected: [AtomicU64; 7],
+    injected: [AtomicU64; FaultSite::ALL.len()],
 }
 
 impl FaultPlan {
@@ -165,31 +138,6 @@ impl FaultPlan {
         self.site(FaultSite::CacheWrite, rate, budget, Duration::ZERO)
     }
 
-    /// Kill one serve worker wake-up in `rate`, at most `budget` workers.
-    #[must_use]
-    pub fn with_worker_kills(self, rate: u64, budget: u32) -> FaultPlan {
-        self.site(FaultSite::WorkerKill, rate, budget, Duration::ZERO)
-    }
-
-    /// Stall one client protocol line in `rate` by `delay`.
-    #[must_use]
-    pub fn with_client_stalls(self, rate: u64, budget: u32, delay: Duration) -> FaultPlan {
-        self.site(FaultSite::ClientStall, rate, budget, delay)
-    }
-
-    /// Disconnect one client request in `rate` before it drains responses,
-    /// `budget` times each (so the retried request eventually completes).
-    #[must_use]
-    pub fn with_client_disconnects(self, rate: u64, budget: u32) -> FaultPlan {
-        self.site(FaultSite::ClientDisconnect, rate, budget, Duration::ZERO)
-    }
-
-    /// The plan's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Whether `key` is in `site`'s deterministic selection (independent of
     /// how many times it has fired).
     #[must_use]
@@ -225,7 +173,7 @@ impl FaultPlan {
         true
     }
 
-    /// The configured delay of a latency/stall site.
+    /// The configured delay of a latency site.
     #[must_use]
     pub fn delay(&self, site: FaultSite) -> Duration {
         self.sites[site.index()].delay
@@ -283,76 +231,6 @@ impl FaultPlan {
             .iter()
             .map(|s| (s.name(), self.injected[s.index()].load(Ordering::Relaxed)))
             .collect()
-    }
-
-    /// Parse the CLI plan syntax:
-    /// `seed=<u64>,panic=<rate>:<budget>,latency=<rate>:<budget>:<ms>ms,`
-    /// `cache_read=<rate>:<budget>,cache_write=<rate>:<budget>,`
-    /// `kill=<rate>:<budget>,stall=<rate>:<budget>:<ms>ms,`
-    /// `disconnect=<rate>:<budget>` — any subset of sites, in any order.
-    /// Seeds accept decimal or `0x` hex.
-    ///
-    /// # Errors
-    /// A malformed clause is an error, never a silently ignored fault.
-    pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        fn u64v(v: &str) -> Result<u64, String> {
-            let t = v.trim();
-            match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                Some(h) => u64::from_str_radix(h, 16),
-                None => t.parse(),
-            }
-            .map_err(|_| format!("`{v}` is not an integer"))
-        }
-        let mut plan = FaultPlan::new(0);
-        for clause in text.split(',').filter(|c| !c.trim().is_empty()) {
-            let (name, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause `{clause}` is missing `=`"))?;
-            let name = name.trim();
-            if name == "seed" {
-                plan.seed = u64v(value)?;
-                continue;
-            }
-            let site = FaultSite::ALL
-                .into_iter()
-                .find(|s| s.name() == name)
-                .ok_or_else(|| format!("unknown fault site `{name}`"))?;
-            let parts: Vec<&str> = value.split(':').collect();
-            let (rate, budget, delay) = match (site, parts.as_slice()) {
-                (FaultSite::ComputeLatency | FaultSite::ClientStall, [r, b, d]) => {
-                    let ms = d
-                        .trim()
-                        .strip_suffix("ms")
-                        .ok_or_else(|| format!("delay `{d}` must end in `ms`"))?;
-                    (
-                        u64v(r)?,
-                        u32::try_from(u64v(b)?).map_err(|_| "budget too large".to_owned())?,
-                        Duration::from_millis(u64v(ms)?),
-                    )
-                }
-                (FaultSite::ComputeLatency | FaultSite::ClientStall, _) => {
-                    return Err(format!(
-                        "site `{name}` takes <rate>:<budget>:<ms>ms, got `{value}`"
-                    ));
-                }
-                (_, [r, b]) => (
-                    u64v(r)?,
-                    u32::try_from(u64v(b)?).map_err(|_| "budget too large".to_owned())?,
-                    Duration::ZERO,
-                ),
-                _ => {
-                    return Err(format!(
-                        "site `{name}` takes <rate>:<budget>, got `{value}`"
-                    ));
-                }
-            };
-            plan.sites[site.index()] = SiteConfig {
-                rate,
-                budget,
-                delay,
-            };
-        }
-        Ok(plan)
     }
 }
 
@@ -417,7 +295,7 @@ mod tests {
         let p = FaultPlan::new(7).with_panics(1, 1); // every key panics once
         assert!(p.selects(FaultSite::ComputePanic, "x"));
         assert!(!p.selects(FaultSite::CacheRead, "x"));
-        assert!(!p.selects(FaultSite::ClientDisconnect, "x"));
+        assert!(!p.selects(FaultSite::CacheWrite, "x"));
     }
 
     #[test]
@@ -437,33 +315,5 @@ mod tests {
         assert!(p.fail_cache_write().is_some());
         assert!(p.fail_cache_write().is_some());
         assert!(p.fail_cache_write().is_none(), "budget exhausted");
-    }
-
-    #[test]
-    fn parse_round_trips_the_soak_syntax() {
-        let p = FaultPlan::parse(
-            "seed=0xC1,panic=6:2,latency=9:3:4ms,cache_read=5:1,cache_write=3:1,\
-             kill=40:2,stall=7:1:5ms,disconnect=9:1",
-        )
-        .unwrap();
-        assert_eq!(p.seed(), 0xC1);
-        assert_eq!(p.delay(FaultSite::ComputeLatency), Duration::from_millis(4));
-        assert_eq!(p.delay(FaultSite::ClientStall), Duration::from_millis(5));
-        assert_eq!(p.sites[FaultSite::WorkerKill.index()].rate, 40);
-        assert_eq!(p.sites[FaultSite::ClientDisconnect.index()].budget, 1);
-        // Empty and partial plans parse too.
-        assert!(FaultPlan::parse("").is_ok());
-        assert!(FaultPlan::parse("seed=9").is_ok());
-        for bad in [
-            "panic",
-            "panic=1",
-            "panic=1:2:3",
-            "latency=1:2",
-            "latency=1:2:3",
-            "nonsense=1:2",
-            "seed=zz",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "should reject `{bad}`");
-        }
     }
 }

@@ -168,7 +168,6 @@ impl RunMetrics {
                         u64::try_from(p.busy.as_micros()).unwrap_or(u64::MAX).into(),
                     ),
                     ("max_queue_depth", p.max_queue_depth.into()),
-                    ("panicked", p.panicked.into()),
                     ("utilization", p.utilization().into()),
                 ]),
             ),
@@ -231,7 +230,6 @@ mod tests {
                     wall: Duration::from_millis(1),
                     busy: Duration::from_millis(2),
                     max_queue_depth: 1,
-                    panicked: 0,
                 },
             },
             sweep: None,

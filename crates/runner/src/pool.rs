@@ -13,7 +13,6 @@
 //! simulation cells are — each cell is a pure function of its spec).
 
 use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -36,9 +35,6 @@ pub struct PoolStats {
     /// Deepest initial per-worker queue (round-robin distribution, so
     /// `ceil(jobs / threads)`).
     pub max_queue_depth: usize,
-    /// Jobs that panicked. Always `0` under [`run_batch`], which propagates
-    /// the panic; [`run_batch_catching`] isolates and counts them instead.
-    pub panicked: u64,
 }
 
 impl PoolStats {
@@ -63,7 +59,6 @@ impl PoolStats {
         self.wall += other.wall;
         self.busy += other.busy;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.panicked += other.panicked;
     }
 }
 
@@ -77,37 +72,11 @@ impl PoolStats {
 /// A panicking job aborts the batch: the panic is propagated to the caller
 /// once the surviving workers drain the remaining jobs.
 pub fn run_batch<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>) -> PoolStats {
-    run_batch_inner(workers, jobs, false)
-}
-
-/// [`run_batch`] with per-job panic isolation: a panicking job is caught,
-/// counted in [`PoolStats::panicked`], and the batch keeps running — no job
-/// is dropped and the worker survives. This is the supervision mode the
-/// serve daemon uses under an active fault plan.
-pub fn run_batch_catching<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>) -> PoolStats {
-    run_batch_inner(workers, jobs, true)
-}
-
-/// Run one job, optionally isolating a panic. Returns `1` if it panicked.
-fn execute<F: FnOnce()>(job: F, catching: bool) -> u64 {
-    if catching {
-        match std::panic::catch_unwind(AssertUnwindSafe(job)) {
-            Ok(()) => 0,
-            Err(_) => 1,
-        }
-    } else {
-        job();
-        0
-    }
-}
-
-fn run_batch_inner<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>, catching: bool) -> PoolStats {
     let started = Instant::now();
     if workers <= 1 || jobs.len() <= 1 {
         let n = jobs.len();
-        let mut panicked = 0;
         for job in jobs {
-            panicked += execute(job, catching);
+            job();
         }
         let wall = started.elapsed();
         return PoolStats {
@@ -117,7 +86,6 @@ fn run_batch_inner<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>, catching: b
             wall,
             busy: wall,
             max_queue_depth: n,
-            panicked,
         };
     }
     let n = workers.min(jobs.len());
@@ -129,18 +97,16 @@ fn run_batch_inner<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>, catching: b
     let max_queue_depth = total_jobs.div_ceil(n);
     let mut busy = Duration::ZERO;
     let mut steals = 0u64;
-    let mut panicked = 0u64;
     std::thread::scope(|s| {
         let deques = &deques;
         let handles: Vec<_> = (0..n)
-            .map(|me| s.spawn(move || worker(me, deques, catching)))
+            .map(|me| s.spawn(move || worker(me, deques)))
             .collect();
         for h in handles {
             match h.join() {
-                Ok((b, st, p)) => {
+                Ok((b, st)) => {
                     busy += b;
                     steals += st;
-                    panicked += p;
                 }
                 Err(p) => std::panic::resume_unwind(p),
             }
@@ -153,24 +119,18 @@ fn run_batch_inner<F: FnOnce() + Send>(workers: usize, jobs: Vec<F>, catching: b
         wall: started.elapsed(),
         busy,
         max_queue_depth,
-        panicked,
     }
 }
 
-fn worker<F: FnOnce()>(
-    me: usize,
-    deques: &[Mutex<VecDeque<F>>],
-    catching: bool,
-) -> (Duration, u64, u64) {
+fn worker<F: FnOnce()>(me: usize, deques: &[Mutex<VecDeque<F>>]) -> (Duration, u64) {
     let mut busy = Duration::ZERO;
     let mut steals = 0u64;
-    let mut panicked = 0u64;
     loop {
         // Own work first, oldest first.
         let own = deques[me].lock().unwrap().pop_front();
         if let Some(job) = own {
             let t = Instant::now();
-            panicked += execute(job, catching);
+            job();
             busy += t.elapsed();
             continue;
         }
@@ -184,10 +144,10 @@ fn worker<F: FnOnce()>(
             Some(job) => {
                 steals += 1;
                 let t = Instant::now();
-                panicked += execute(job, catching);
+                job();
                 busy += t.elapsed();
             }
-            None => return (busy, steals, panicked), // every deque observed empty
+            None => return (busy, steals), // every deque observed empty
         }
     }
 }
@@ -274,9 +234,9 @@ mod tests {
         assert_eq!(acc.threads, 4);
     }
 
-    /// Worker death mid-batch: a panicking job kills its worker thread in
-    /// the propagating mode, but every other job still runs (survivors
-    /// steal the dead worker's queue) and the panic reaches the caller.
+    /// Worker death mid-batch: a panicking job kills its worker thread, but
+    /// every other job still runs (survivors steal the dead worker's queue)
+    /// and the panic reaches the caller.
     #[test]
     fn worker_death_mid_batch_drains_and_propagates() {
         let hits = AtomicU64::new(0);
@@ -291,7 +251,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| run_batch(4, jobs)));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(4, jobs)));
         assert!(r.is_err(), "the job panic must propagate");
         assert_eq!(
             hits.load(Ordering::SeqCst),
@@ -300,72 +260,15 @@ mod tests {
         );
     }
 
-    /// The catching mode isolates worker death: the batch completes, stats
-    /// stay consistent, and the panic count is exact.
-    #[test]
-    fn catching_mode_isolates_worker_death() {
-        for workers in [1, 2, 4] {
-            let hits = AtomicU64::new(0);
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..30u64)
-                .map(|i| {
-                    let hits = &hits;
-                    Box::new(move || {
-                        if i % 10 == 0 {
-                            panic!("injected");
-                        }
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            let ps = run_batch_catching(workers, jobs);
-            assert_eq!(hits.load(Ordering::SeqCst), 27);
-            assert_eq!(ps.jobs, 30, "stats count every submitted job");
-            assert_eq!(ps.panicked, 3, "stats count every isolated panic");
-            assert!(ps.threads <= workers.max(1));
-            assert!(ps.busy <= ps.wall * ps.threads as u32 + Duration::from_millis(5));
-            let u = ps.utilization();
-            assert!((0.0..=1.0).contains(&u), "utilization {u}");
-        }
-    }
-
-    /// Drop-while-queued: jobs whose worker dies while they are still
-    /// queued are stolen and executed by the survivors — nothing is
-    /// silently dropped, in either mode.
-    #[test]
-    fn queued_jobs_survive_worker_death() {
-        let hits = AtomicU64::new(0);
-        // Worker 0 gets jobs 0,2,4,... (round-robin over 2 workers); job 0
-        // panics immediately while the rest of its deque is still queued.
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..20u64)
-            .map(|i| {
-                let hits = &hits;
-                Box::new(move || {
-                    if i == 0 {
-                        panic!("die with a full queue");
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let ps = run_batch_catching(2, jobs);
-        assert_eq!(hits.load(Ordering::SeqCst), 19);
-        assert_eq!((ps.jobs, ps.panicked), (20, 1));
-    }
-
     /// Zero-length batch submission: a no-op with internally consistent
-    /// stats in both modes.
+    /// stats.
     #[test]
     fn zero_length_batch_stats_are_consistent() {
-        for ps in [
-            run_batch(4, Vec::<fn()>::new()),
-            run_batch_catching(4, Vec::<fn()>::new()),
-        ] {
-            assert_eq!((ps.jobs, ps.steals, ps.panicked), (0, 0, 0));
-            assert_eq!(ps.threads, 1, "an empty batch runs inline");
-            assert_eq!(ps.max_queue_depth, 0);
-            assert_eq!(ps.utilization(), 0.0);
-            assert!(ps.busy <= ps.wall + Duration::from_millis(1));
-        }
+        let ps = run_batch(4, Vec::<fn()>::new());
+        assert_eq!((ps.jobs, ps.steals), (0, 0));
+        assert_eq!(ps.threads, 1, "an empty batch runs inline");
+        assert_eq!(ps.max_queue_depth, 0);
+        assert_eq!(ps.utilization(), 0.0);
+        assert!(ps.busy <= ps.wall + Duration::from_millis(1));
     }
 }

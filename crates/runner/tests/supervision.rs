@@ -154,30 +154,6 @@ fn engine_recovers_from_injected_compute_panics() {
     );
 }
 
-/// `prefetch_isolated` completes a batch in which some cells panic: the
-/// panics are counted, every other cell lands in the memo, and the
-/// panicked cells succeed on a supervised retry.
-#[test]
-fn prefetch_isolated_contains_injected_panics() {
-    let plan = Arc::new(FaultPlan::new(9).with_panics(2, 1));
-    let eng = Engine::new(EngineOptions {
-        workers: 2,
-        cache_dir: None,
-        faults: Some(Arc::clone(&plan)),
-    });
-    let specs: Vec<CellSpec> = (0..12).map(tiny_spec).collect();
-    let stats = eng.prefetch_isolated(&specs);
-    assert_eq!(stats.jobs, 12);
-    assert!(stats.panicked > 0, "rate 2 over 12 cells must hit some");
-    assert_eq!(stats.panicked, eng.faults_injected());
-    // Every cell — including the panicked ones, whose budget is now spent —
-    // resolves identically to a clean serial engine.
-    let reference = Engine::serial();
-    for spec in &specs {
-        assert_eq!(eng.cell(spec), reference.cell(spec));
-    }
-}
-
 /// Satellite: a cache file with corrupt lines is quarantined with a reason
 /// header instead of silently rewritten; valid lines still load, and the
 /// corrupt-line counter is surfaced through `RunMetrics`.
@@ -299,7 +275,7 @@ fn injected_cache_write_faults_are_transient() {
 }
 
 /// The same plan seed injects the same faults at the same points across
-/// runs — the property the soak test's reproducibility rests on.
+/// runs — the property that makes a fault-injection run replayable.
 #[test]
 fn fault_injection_is_reproducible_across_runs() {
     let run = || {

@@ -3,8 +3,9 @@
 //! Each function runs the necessary simulations at a caller-chosen
 //! [`Scale`] and returns a [`Table`] whose rows mirror the paper's
 //! presentation, so output can be compared side by side with the original
-//! (see `EXPERIMENTS.md` at the workspace root). The regeneration binaries
-//! in `crates/bench/src/bin/` are thin wrappers over these functions.
+//! (see `EXPERIMENTS.md` at the workspace root). [`EXPERIMENTS`] lists them
+//! in publication order; the `repro` binary in `crates/bench` runs them by
+//! name.
 //!
 //! # Cells and the engine
 //!
@@ -848,90 +849,109 @@ pub fn distributions(eng: &Engine, scale: &Scale) -> Table {
     t
 }
 
-/// Every cell of the full evaluation ([`run_all`]) at this scale, duplicates
-/// included (the engine dedups).
+/// One entry of the experiment registry: a named table or figure of the
+/// evaluation, the cells it reads, and the builder that assembles it.
+#[derive(Clone, Copy, Debug)]
+pub struct Experiment {
+    /// The name `repro <name>` selects it by.
+    pub name: &'static str,
+    /// The cells the builder reads, duplicates included.
+    pub cells: fn(&Scale) -> Vec<CellSpec>,
+    /// Assembles the experiment's tables (Figures 5 and 6 come from one
+    /// builder, so this yields a list).
+    pub build: fn(&Engine, &Scale) -> Vec<Table>,
+}
+
+/// Every table and figure of the evaluation, in publication order.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    Experiment {
+        name: "table1",
+        cells: table1_cells,
+        build: |eng, scale| vec![table1(eng, scale)],
+    },
+    Experiment {
+        name: "figure3",
+        cells: |scale| figure3_cells(scale, &FIGURE3_WINDOWS),
+        build: |eng, scale| vec![figure3(eng, scale, &FIGURE3_WINDOWS)],
+    },
+    Experiment {
+        name: "figure5_6",
+        cells: |scale| figure5_6_cells(scale, &FIGURE5_WINDOWS),
+        build: |eng, scale| {
+            let (fig5, fig6) = figure5_6(eng, scale, &FIGURE5_WINDOWS);
+            vec![fig5, fig6]
+        },
+    },
+    Experiment {
+        name: "table2",
+        cells: table2_cells,
+        build: |eng, scale| vec![table2(eng, scale)],
+    },
+    Experiment {
+        name: "table3",
+        cells: table3_cells,
+        build: |eng, scale| vec![table3(eng, scale)],
+    },
+    Experiment {
+        name: "table4",
+        cells: table4_cells,
+        build: |eng, scale| vec![table4(eng, scale)],
+    },
+    Experiment {
+        name: "figure8",
+        cells: figure8_cells,
+        build: |eng, scale| vec![figure8(eng, scale)],
+    },
+    Experiment {
+        name: "figure9",
+        cells: figure9_cells,
+        build: |eng, scale| vec![figure9(eng, scale)],
+    },
+    Experiment {
+        name: "figure10",
+        cells: figure10_cells,
+        build: |eng, scale| vec![figure10(eng, scale)],
+    },
+    Experiment {
+        name: "figure12",
+        cells: figure12_cells,
+        build: |eng, scale| vec![figure12(eng, scale)],
+    },
+    Experiment {
+        name: "figure13",
+        cells: figure13_cells,
+        build: |eng, scale| vec![figure13(eng, scale)],
+    },
+    Experiment {
+        name: "figure14",
+        cells: figure14_cells,
+        build: |eng, scale| vec![figure14(eng, scale)],
+    },
+    Experiment {
+        name: "figure17",
+        cells: figure17_cells,
+        build: |eng, scale| vec![figure17(eng, scale)],
+    },
+    Experiment {
+        name: "distributions",
+        cells: distributions_cells,
+        build: |eng, scale| vec![distributions(eng, scale)],
+    },
+];
+
+/// Every cell of the full evaluation ([`run_all`]) at this scale, in
+/// [`EXPERIMENTS`] order, duplicates included (the engine dedups).
 #[must_use]
 pub fn all_experiment_cells(scale: &Scale) -> Vec<CellSpec> {
     let mut cells = Vec::new();
-    cells.extend(table1_cells(scale));
-    cells.extend(figure3_cells(scale, &FIGURE3_WINDOWS));
-    cells.extend(figure5_6_cells(scale, &FIGURE5_WINDOWS));
-    cells.extend(table2_cells(scale));
-    cells.extend(table3_cells(scale));
-    cells.extend(table4_cells(scale));
-    cells.extend(figure8_cells(scale));
-    cells.extend(figure9_cells(scale));
-    cells.extend(figure10_cells(scale));
-    cells.extend(figure12_cells(scale));
-    cells.extend(figure13_cells(scale));
-    cells.extend(figure14_cells(scale));
-    cells.extend(figure17_cells(scale));
-    cells.extend(distributions_cells(scale));
+    for e in &EXPERIMENTS {
+        cells.extend((e.cells)(scale));
+    }
     cells
 }
 
-/// Every table/figure name accepted by [`request_cells`], in publication
-/// order, plus the `"all"` union. These are the request names understood by
-/// the `ci-serve` daemon's `table` requests.
-pub const REQUEST_NAMES: [&str; 17] = [
-    "table1",
-    "figure3",
-    "figure5_6",
-    "table2",
-    "table3",
-    "table4",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure17",
-    "distributions",
-    "all",
-    "smoke",
-    "explore_smoke",
-];
-
-/// The cells behind a named table or figure, for callers (like the
-/// `ci-serve` daemon) that address experiments by name rather than by
-/// builder function. Returns `None` for unknown names; see
-/// [`REQUEST_NAMES`] for the accepted set. `"smoke"` is a deliberately tiny
-/// single-cell request for health checks and load generation.
-#[must_use]
-pub fn request_cells(name: &str, scale: &Scale) -> Option<Vec<CellSpec>> {
-    Some(match name {
-        "table1" => table1_cells(scale),
-        "figure3" => figure3_cells(scale, &FIGURE3_WINDOWS),
-        "figure5_6" => figure5_6_cells(scale, &FIGURE5_WINDOWS),
-        "table2" => table2_cells(scale),
-        "table3" => table3_cells(scale),
-        "table4" => table4_cells(scale),
-        "figure8" => figure8_cells(scale),
-        "figure9" => figure9_cells(scale),
-        "figure10" => figure10_cells(scale),
-        "figure12" => figure12_cells(scale),
-        "figure13" => figure13_cells(scale),
-        "figure14" => figure14_cells(scale),
-        "figure17" => figure17_cells(scale),
-        "distributions" => distributions_cells(scale),
-        "all" => all_experiment_cells(scale),
-        "smoke" => vec![CellSpec::Study {
-            workload: Workload::CompressLike,
-            instructions: scale.instructions.min(2_000),
-            seed: scale.seed,
-        }],
-        // The explorer's smoke grid (3 windows × 3 widths × BASE/CI),
-        // capped at 10k instructions — the same grid the golden test and
-        // the CI `explore` job run.
-        "explore_smoke" => ci_explore::Sweep::parse("smoke-grid")
-            .expect("smoke-grid preset must parse")
-            .expand(scale.instructions.min(10_000), scale.seed),
-        _ => return None,
-    })
-}
-
-/// The full evaluation: every table and figure, in publication order.
+/// The full evaluation: every table and figure of [`EXPERIMENTS`], in
+/// publication order.
 ///
 /// Prefetches the union of all cells first so the engine's workers see one
 /// big batch (maximum overlap, cross-table sharing), then assembles each
@@ -939,24 +959,10 @@ pub fn request_cells(name: &str, scale: &Scale) -> Option<Vec<CellSpec>> {
 #[must_use]
 pub fn run_all(eng: &Engine, scale: &Scale) -> Vec<Table> {
     eng.prefetch(&all_experiment_cells(scale));
-    let (fig5, fig6) = figure5_6(eng, scale, &FIGURE5_WINDOWS);
-    vec![
-        table1(eng, scale),
-        figure3(eng, scale, &FIGURE3_WINDOWS),
-        fig5,
-        fig6,
-        table2(eng, scale),
-        table3(eng, scale),
-        table4(eng, scale),
-        figure8(eng, scale),
-        figure9(eng, scale),
-        figure10(eng, scale),
-        figure12(eng, scale),
-        figure13(eng, scale),
-        figure14(eng, scale),
-        figure17(eng, scale),
-        distributions(eng, scale),
-    ]
+    EXPERIMENTS
+        .iter()
+        .flat_map(|e| (e.build)(eng, scale))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1028,18 +1034,21 @@ mod tests {
     }
 
     #[test]
-    fn request_cells_covers_every_name() {
+    fn registry_entries_build_and_own_every_cell() {
+        let eng = Engine::serial();
         let scale = tiny();
-        for name in REQUEST_NAMES {
-            let cells = request_cells(name, &scale)
-                .unwrap_or_else(|| panic!("{name} must resolve to cells"));
-            assert!(!cells.is_empty(), "{name} resolved to an empty cell list");
+        let mut union = Vec::new();
+        for e in &EXPERIMENTS {
+            let cells = (e.cells)(&scale);
+            assert!(!cells.is_empty(), "{} declares no cells", e.name);
+            assert!(
+                !(e.build)(&eng, &scale).is_empty(),
+                "{} built no table",
+                e.name
+            );
+            union.extend(cells);
         }
-        assert!(request_cells("table9", &scale).is_none());
-        assert_eq!(
-            request_cells("all", &scale).unwrap(),
-            all_experiment_cells(&scale)
-        );
+        assert_eq!(all_experiment_cells(&scale), union);
     }
 
     #[test]
