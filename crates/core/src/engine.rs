@@ -263,7 +263,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
                 return Err(e);
             }
         };
-        let oracle: Vec<DynInst> = trace.insts().to_vec();
+        let oracle: Vec<DynInst> = trace.into_insts();
         // Prefix global histories for the oracle-GHR mode (Figure 12).
         let mut oracle_hist = Vec::with_capacity(oracle.len() + 1);
         let mut h = GlobalHistory::new();
