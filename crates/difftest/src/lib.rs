@@ -28,9 +28,10 @@
 //!    configuration, the divergence report and the flight-recorder
 //!    transcript. [`replay`] re-runs an artifact deterministically.
 //!
-//! The `ci-bench` binary `fuzz` drives [`run_fuzz`] from the command line
-//! with a `std::thread` worker pool (one seeded RNG stream per trial, so
-//! results are independent of worker count and scheduling).
+//! The `ci-bench` binary `fuzz` drives [`run_campaign`] from the command
+//! line. Campaigns run in rounds on the `ci-runner` work-stealing pool; every
+//! trial derives from its campaign seed and index, and results merge in
+//! trial order, so findings are independent of worker count and scheduling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,14 +44,13 @@ mod lockstep;
 mod mutate;
 mod shrink;
 mod spec;
+mod tree;
 mod trial;
 
 pub use artifact::{replay, Artifact};
 pub use corpus::{Corpus, CorpusEntry, SeedOrigin};
 pub use coverage::{mode_salt, trial_salts, CoverageMap, TrialCoverage};
-pub use fuzz::{
-    run_campaign, run_fuzz, silence_panics, trial_seed, FuzzMode, FuzzOptions, FuzzSummary,
-};
+pub use fuzz::{run_campaign, silence_panics, trial_seed, FuzzMode, FuzzOptions, FuzzSummary};
 pub use lockstep::{run_locked, run_locked_salted, LockstepRun};
 pub use mutate::{is_well_formed, mutate, MutationKind};
 pub use shrink::{shrink, ShrinkStats};

@@ -8,6 +8,7 @@
 //! regenerated on every [`StructuredProgram::emit`], no edit can produce an
 //! unassemblable program — every candidate is a valid, terminating program.
 
+use crate::tree::{block_mut, blocks};
 use ci_workloads::{Stmt, StructuredProgram};
 
 /// What the shrinker did.
@@ -23,153 +24,40 @@ pub struct ShrinkStats {
     pub accepted: usize,
 }
 
-/// Which statement list an edit targets.
-#[derive(Clone, Copy, Debug)]
-enum Root {
-    Body,
-    Func(usize),
-}
-
-/// One descent step from a statement list into a nested list.
-#[derive(Clone, Copy, Debug)]
-enum Step {
-    /// Into the then-arm of the `If` at this index.
-    Then(usize),
-    /// Into the else-arm of the `If` at this index.
-    Els(usize),
-    /// Into the body of the `Loop` at this index.
-    Body(usize),
-}
-
-/// Address of one statement list inside a program.
-#[derive(Clone, Debug)]
-struct ListPath {
-    root: Root,
-    steps: Vec<Step>,
-}
-
-/// One candidate reduction.
+/// One candidate reduction. `at` is a block index in the walk order of
+/// [`crate::tree`].
 #[derive(Clone, Debug)]
 enum Edit {
-    /// Remove `list[start..start + len]`.
-    DeleteRange {
-        at: ListPath,
-        start: usize,
-        len: usize,
-    },
-    /// Replace the `If` at `list[idx]` with its then-arm statements.
-    InlineThen { at: ListPath, idx: usize },
-    /// Drop the else arm of the `If` at `list[idx]` (keep the branch).
-    DropEls { at: ListPath, idx: usize },
-    /// Replace the `Loop` at `list[idx]` with one copy of its body.
-    InlineLoop { at: ListPath, idx: usize },
-    /// Halve the trip count of the `Loop` at `list[idx]`.
-    HalveTrips { at: ListPath, idx: usize },
+    /// Remove `block[start..start + len]`.
+    DeleteRange { at: usize, start: usize, len: usize },
+    /// Replace the `If` at `block[idx]` with its then-arm statements.
+    InlineThen { at: usize, idx: usize },
+    /// Drop the else arm of the `If` at `block[idx]` (keep the branch).
+    DropEls { at: usize, idx: usize },
+    /// Replace the `Loop` at `block[idx]` with one copy of its body.
+    InlineLoop { at: usize, idx: usize },
+    /// Halve the trip count of the `Loop` at `block[idx]`.
+    HalveTrips { at: usize, idx: usize },
     /// Remove register seed `init[idx]`.
     DeleteInit { idx: usize },
 }
 
-fn list<'p>(p: &'p StructuredProgram, path: &ListPath) -> Option<&'p Vec<Stmt>> {
-    let mut cur = match path.root {
-        Root::Body => &p.body,
-        Root::Func(i) => p.funcs.get(i)?,
-    };
-    for step in &path.steps {
-        cur = match (step, cur.get(step_idx(*step))?) {
-            (Step::Then(_), Stmt::If { then, .. }) => then,
-            (Step::Els(_), Stmt::If { els: Some(e), .. }) => e,
-            (Step::Body(_), Stmt::Loop { body, .. }) => body,
-            _ => return None,
-        };
-    }
-    Some(cur)
-}
-
-fn list_mut<'p>(p: &'p mut StructuredProgram, path: &ListPath) -> Option<&'p mut Vec<Stmt>> {
-    let mut cur = match path.root {
-        Root::Body => &mut p.body,
-        Root::Func(i) => p.funcs.get_mut(i)?,
-    };
-    for step in &path.steps {
-        cur = match (step, cur.get_mut(step_idx(*step))?) {
-            (Step::Then(_), Stmt::If { then, .. }) => then,
-            (Step::Els(_), Stmt::If { els: Some(e), .. }) => e,
-            (Step::Body(_), Stmt::Loop { body, .. }) => body,
-            _ => return None,
-        };
-    }
-    Some(cur)
-}
-
-fn step_idx(s: Step) -> usize {
-    match s {
-        Step::Then(i) | Step::Els(i) | Step::Body(i) => i,
-    }
-}
-
-/// Every statement list in the program, outermost first.
-fn collect_paths(p: &StructuredProgram) -> Vec<ListPath> {
-    fn descend(stmts: &[Stmt], here: &ListPath, out: &mut Vec<ListPath>) {
-        out.push(here.clone());
-        for (i, s) in stmts.iter().enumerate() {
-            match s {
-                Stmt::If { then, els, .. } => {
-                    let mut t = here.clone();
-                    t.steps.push(Step::Then(i));
-                    descend(then, &t, out);
-                    if let Some(els) = els {
-                        let mut e = here.clone();
-                        e.steps.push(Step::Els(i));
-                        descend(els, &e, out);
-                    }
-                }
-                Stmt::Loop { body, .. } => {
-                    let mut b = here.clone();
-                    b.steps.push(Step::Body(i));
-                    descend(body, &b, out);
-                }
-                Stmt::Op(_) | Stmt::Call(_) => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    descend(
-        &p.body,
-        &ListPath {
-            root: Root::Body,
-            steps: Vec::new(),
-        },
-        &mut out,
-    );
-    for (i, f) in p.funcs.iter().enumerate() {
-        descend(
-            f,
-            &ListPath {
-                root: Root::Func(i),
-                steps: Vec::new(),
-            },
-            &mut out,
-        );
-    }
-    out
-}
-
 /// All candidate edits for the current program, most aggressive first:
-/// whole-list and large-chunk deletions before single statements, structure
+/// whole-block and large-chunk deletions before single statements, structure
 /// collapses, then trip halvings and init pruning.
 fn candidates(p: &StructuredProgram) -> Vec<Edit> {
     let mut out = Vec::new();
-    let paths = collect_paths(p);
+    let blocks = blocks(p);
 
-    // Chunk deletions: per list, sizes n, n/2, …, 1 at every aligned offset.
-    for path in &paths {
-        let n = list(p, path).map_or(0, Vec::len);
+    // Chunk deletions: per block, sizes n, n/2, …, 1 at every aligned offset.
+    for (at, block) in blocks.iter().enumerate() {
+        let n = block.stmts.len();
         let mut size = n;
         while size >= 1 {
             let mut start = 0;
             while start < n {
                 out.push(Edit::DeleteRange {
-                    at: path.clone(),
+                    at,
                     start,
                     len: size.min(n - start),
                 });
@@ -183,32 +71,19 @@ fn candidates(p: &StructuredProgram) -> Vec<Edit> {
     }
 
     // Structural collapses and loop weakenings.
-    for path in &paths {
-        let Some(stmts) = list(p, path) else { continue };
-        for (idx, s) in stmts.iter().enumerate() {
+    for (at, block) in blocks.iter().enumerate() {
+        for (idx, s) in block.stmts.iter().enumerate() {
             match s {
                 Stmt::If { els, .. } => {
-                    out.push(Edit::InlineThen {
-                        at: path.clone(),
-                        idx,
-                    });
+                    out.push(Edit::InlineThen { at, idx });
                     if els.is_some() {
-                        out.push(Edit::DropEls {
-                            at: path.clone(),
-                            idx,
-                        });
+                        out.push(Edit::DropEls { at, idx });
                     }
                 }
                 Stmt::Loop { trips, .. } => {
-                    out.push(Edit::InlineLoop {
-                        at: path.clone(),
-                        idx,
-                    });
+                    out.push(Edit::InlineLoop { at, idx });
                     if *trips > 1 {
-                        out.push(Edit::HalveTrips {
-                            at: path.clone(),
-                            idx,
-                        });
+                        out.push(Edit::HalveTrips { at, idx });
                     }
                 }
                 Stmt::Op(_) | Stmt::Call(_) => {}
@@ -222,21 +97,21 @@ fn candidates(p: &StructuredProgram) -> Vec<Edit> {
     out
 }
 
-/// Apply one edit, returning the edited program (`None` when the edit no
-/// longer applies — paths are recomputed every round, so this only guards
-/// internal races).
+/// Apply one edit, returning the edited program (`None` when the edit does
+/// not apply — candidates are recomputed after every accepted edit, so this
+/// only guards against stale indices).
 fn apply(p: &StructuredProgram, edit: &Edit) -> Option<StructuredProgram> {
     let mut out = p.clone();
     match edit {
         Edit::DeleteRange { at, start, len } => {
-            let l = list_mut(&mut out, at)?;
+            let l = block_mut(&mut out, *at)?;
             if *start + *len > l.len() || *len == 0 {
                 return None;
             }
             l.drain(*start..*start + *len);
         }
         Edit::InlineThen { at, idx } => {
-            let l = list_mut(&mut out, at)?;
+            let l = block_mut(&mut out, *at)?;
             let Stmt::If { then, .. } = l.get(*idx)? else {
                 return None;
             };
@@ -244,14 +119,14 @@ fn apply(p: &StructuredProgram, edit: &Edit) -> Option<StructuredProgram> {
             l.splice(*idx..=*idx, then);
         }
         Edit::DropEls { at, idx } => {
-            let l = list_mut(&mut out, at)?;
+            let l = block_mut(&mut out, *at)?;
             let Stmt::If { els, .. } = l.get_mut(*idx)? else {
                 return None;
             };
             els.take()?;
         }
         Edit::InlineLoop { at, idx } => {
-            let l = list_mut(&mut out, at)?;
+            let l = block_mut(&mut out, *at)?;
             let Stmt::Loop { body, .. } = l.get(*idx)? else {
                 return None;
             };
@@ -259,7 +134,7 @@ fn apply(p: &StructuredProgram, edit: &Edit) -> Option<StructuredProgram> {
             l.splice(*idx..=*idx, body);
         }
         Edit::HalveTrips { at, idx } => {
-            let l = list_mut(&mut out, at)?;
+            let l = block_mut(&mut out, *at)?;
             let Stmt::Loop { trips, .. } = l.get_mut(*idx)? else {
                 return None;
             };
@@ -319,7 +194,7 @@ where
             if fails(&next) {
                 stats.accepted += 1;
                 cur = next;
-                continue 'outer; // paths changed; restart the pass
+                continue 'outer; // blocks changed; restart the pass
             }
         }
         break; // full pass with no accepted edit: local minimum

@@ -3,8 +3,8 @@
 //! round-trips.
 
 use ci_difftest::{
-    check_program, run_fuzz, run_locked, shrink, silence_panics, trial_seed, Artifact, FuzzOptions,
-    ShrinkStats, TrialSpec,
+    check_program, run_campaign, run_locked, shrink, silence_panics, trial_seed, Artifact,
+    FuzzMode, FuzzOptions, ShrinkStats, TrialSpec,
 };
 use ci_workloads::random_structured;
 
@@ -12,12 +12,14 @@ use ci_workloads::random_structured;
 fn fuzz_campaign_seed1_is_clean() {
     // A slice of the acceptance campaign (`fuzz --iters 200 --seed 1`): every
     // trial must pass every lockstep and dominance check.
-    let summary = run_fuzz(&FuzzOptions {
+    let summary = run_campaign(&FuzzOptions {
         seed: 1,
         iters: Some(40),
         workers: 2,
+        mode: FuzzMode::Random,
         ..FuzzOptions::default()
-    });
+    })
+    .expect("in-memory campaign cannot fail");
     assert_eq!(summary.trials, 40);
     assert!(
         summary.clean(),
@@ -36,12 +38,14 @@ fn campaigns_are_worker_count_independent() {
     // explored trials — and therefore the findings — cannot depend on the
     // worker pool's size or scheduling.
     let run = |workers| {
-        run_fuzz(&FuzzOptions {
+        run_campaign(&FuzzOptions {
             seed: 77,
             iters: Some(12),
             workers,
+            mode: FuzzMode::Random,
             ..FuzzOptions::default()
         })
+        .expect("in-memory campaign cannot fail")
     };
     let solo = run(1);
     let pool = run(4);
@@ -64,11 +68,11 @@ fn coverage_campaigns_are_worker_count_independent() {
     // corpus snapshot) and merge at round barriers in index order, making
     // the whole trajectory a pure function of the options.
     let run = |workers| {
-        ci_difftest::run_campaign(&FuzzOptions {
+        run_campaign(&FuzzOptions {
             seed: 0xC07E,
             iters: Some(18),
             workers,
-            mode: ci_difftest::FuzzMode::Coverage,
+            mode: FuzzMode::Coverage,
             round_size: 6,
             ..FuzzOptions::default()
         })

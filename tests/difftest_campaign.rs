@@ -11,7 +11,9 @@
 //!   detailed machines and six idealized models in lockstep against the
 //!   functional emulator.
 
-use ci_difftest::{run_fuzz, run_trial, silence_panics, trial_seed, FuzzOptions, TrialSpec};
+use ci_difftest::{
+    run_campaign, run_trial, silence_panics, trial_seed, FuzzMode, FuzzOptions, TrialSpec,
+};
 
 /// Campaign seed; trial `i` uses `trial_seed(CAMPAIGN_SEED, i)`.
 const CAMPAIGN_SEED: u64 = 0xD1FF_7E57;
@@ -74,12 +76,14 @@ fn regression_seeds_come_from_the_campaign_stream() {
 #[ignore = "2k-trial campaign (~minutes); CI runs it as a dedicated step"]
 fn lockstep_campaign_2k_trials() {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let summary = run_fuzz(&FuzzOptions {
+    let summary = run_campaign(&FuzzOptions {
         seed: CAMPAIGN_SEED,
         iters: Some(2000),
         workers,
+        mode: FuzzMode::Random,
         ..FuzzOptions::default()
-    });
+    })
+    .expect("in-memory campaign cannot fail");
     assert_eq!(summary.trials, 2000);
     assert!(
         summary.clean(),
