@@ -12,8 +12,8 @@
 //! `smoke-grid`); the default is `smoke-grid`. A bare positional argument
 //! is also accepted as the spec. Cell scale comes from
 //! `CI_REPRO_INSTRUCTIONS` / `CI_REPRO_SEED` as in every other binary, and
-//! the shared flags (`--json`, `--workers`, `--cache-dir`, `--timing`,
-//! `--metrics`) are documented in `ci_bench::cli` — with `--cache-dir`,
+//! the shared flags (`--json`, `--workers`, `--cache-dir`, `--metrics`)
+//! are documented in `ci_bench::cli` — with `--cache-dir`,
 //! growing a grid recomputes only the new cells.
 //!
 //! `--out` writes the `explore_report/v1` JSON object (deterministic:

@@ -21,21 +21,9 @@ use std::time::Instant;
 fn main() {
     let mut cli = Cli::from_args("profile");
     let scale = Scale::from_env_or_exit();
-    let args = &mut cli.rest;
-
-    fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} requires an argument");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    }
-
-    let config_name = flag_value(args, "--config").unwrap_or_else(|| "ci".to_owned());
-    let window: usize = flag_value(args, "--window")
+    let config_name = cli.flag("--config").unwrap_or_else(|| "ci".to_owned());
+    let window: usize = cli
+        .flag("--window")
         .map(|v| {
             v.parse().ok().filter(|&w| w > 0).unwrap_or_else(|| {
                 eprintln!("--window must be a positive integer, got `{v}`");
@@ -43,7 +31,8 @@ fn main() {
             })
         })
         .unwrap_or(256);
-    let trace_path = flag_value(args, "--trace");
+    let trace_path = cli.flag("--trace");
+    let args = &cli.rest;
 
     let config = match config_name.as_str() {
         "base" => PipelineConfig::base(window),

@@ -2,7 +2,7 @@
 //! of them, by name from the experiment registry
 //! (`experiments::EXPERIMENTS`). Scale with `CI_REPRO_INSTRUCTIONS` and
 //! `CI_REPRO_SEED`; the shared flags (`--json`, `--workers`, `--cache-dir`,
-//! `--timing`, `--metrics`) are documented in `ci_bench::cli`.
+//! `--metrics`) are documented in `ci_bench::cli`.
 //!
 //! `repro all` prefetches the union of every experiment's cells on the
 //! `--workers` pool, computes each distinct cell once, and assembles the

@@ -50,19 +50,8 @@ struct Sample {
 fn main() {
     let mut cli = Cli::from_args("throughput");
     let scale = Scale::from_env_or_exit();
-    let args = &mut cli.rest;
-
-    fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} requires an argument");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    }
-    let reps: u32 = flag_value(args, "--reps")
+    let reps: u32 = cli
+        .flag("--reps")
         .map(|v| {
             v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
                 eprintln!("--reps must be a positive integer, got `{v}`");
@@ -70,7 +59,8 @@ fn main() {
             })
         })
         .unwrap_or(1);
-    let tolerance: f64 = flag_value(args, "--tolerance")
+    let tolerance: f64 = cli
+        .flag("--tolerance")
         .map(|v| {
             v.parse()
                 .ok()
@@ -81,7 +71,7 @@ fn main() {
                 })
         })
         .unwrap_or(10.0);
-    let baseline_path = flag_value(args, "--baseline");
+    let baseline_path = cli.flag("--baseline");
 
     let instructions = scale.instructions;
     println!(

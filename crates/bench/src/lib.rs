@@ -15,11 +15,10 @@
 //!   reference mode; printed output is byte-identical for every value).
 //! - `--cache-dir <dir>`: persist computed cells to `<dir>/cells.jsonl` and
 //!   reuse them on the next run.
-//! - `--timing <path>`: export per-cell wall times and cache counters as
-//!   JSON lines through the `ci-obs` metrics layer; each cell line carries
-//!   its workload, configuration family, and cache disposition.
-//! - `--metrics <path>`: export a run-level `run_metrics/v1` JSON report
-//!   (cache hit rates, pool utilization, slowest cells).
+//! - `--metrics <path>`: export a run-level `run_metrics/v1` JSON report:
+//!   cache counters and hit rates, pool utilization, and one record per
+//!   cell request (key, label, workload, configuration family, wall time
+//!   and cache disposition), slowest first.
 
 pub mod cli {
     //! Shared command-line plumbing for the binaries: the common
@@ -101,19 +100,17 @@ pub mod cli {
         pub engine: Engine,
         /// Positional arguments left after flag parsing.
         pub rest: Vec<String>,
-        timing: Option<PathBuf>,
         metrics: Option<PathBuf>,
         label: &'static str,
     }
 
     impl Cli {
-        /// Parse the process arguments. `label` names the binary in timing
-        /// exports. Exits with a usage message on a malformed flag.
+        /// Parse the process arguments. `label` names the binary in the
+        /// `--metrics` report. Exits with a usage message on a malformed flag.
         #[must_use]
         pub fn from_args(label: &'static str) -> Cli {
             let mut opts = EngineOptions::from_env();
             let mut json = None;
-            let mut timing = None;
             let mut metrics = None;
             let mut rest = Vec::new();
             let mut args = std::env::args().skip(1);
@@ -126,7 +123,6 @@ pub mod cli {
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--json" => json = Some(PathBuf::from(value(&mut args, "--json"))),
-                    "--timing" => timing = Some(PathBuf::from(value(&mut args, "--timing"))),
                     "--metrics" => metrics = Some(PathBuf::from(value(&mut args, "--metrics"))),
                     "--cache-dir" => {
                         opts.cache_dir = Some(PathBuf::from(value(&mut args, "--cache-dir")));
@@ -145,10 +141,23 @@ pub mod cli {
                 out: Emitter::new(json),
                 engine: Engine::new(opts),
                 rest,
-                timing,
                 metrics,
                 label,
             }
+        }
+
+        /// Remove a binary-specific `flag <value>` pair from [`Cli::rest`]
+        /// and return the value (`None` when the flag is absent). Exits with
+        /// a usage message when the flag has no value.
+        pub fn flag(&mut self, flag: &str) -> Option<String> {
+            let i = self.rest.iter().position(|a| a == flag)?;
+            if i + 1 >= self.rest.len() {
+                eprintln!("{flag} requires an argument");
+                std::process::exit(2);
+            }
+            let v = self.rest.remove(i + 1);
+            self.rest.remove(i);
+            Some(v)
         }
 
         /// Print `table` (and stage its JSON export).
@@ -156,17 +165,13 @@ pub mod cli {
             self.out.table(table);
         }
 
-        /// Finish the run: flush the `--json` export, write the `--timing`
-        /// JSON lines and the `--metrics` run report (host-side wall times
-        /// are nondeterministic, so neither ever goes into the byte-compared
-        /// `--json` artifact), persist the cell cache, and print a one-line
-        /// cache/timing summary to stderr when the engine served any cell.
+        /// Finish the run: flush the `--json` export, write the `--metrics`
+        /// run report (host-side wall times are nondeterministic, so they
+        /// never go into the byte-compared `--json` artifact), persist the
+        /// cell cache, and print a one-line cache/timing summary to stderr
+        /// when the engine served any cell.
         pub fn finish(mut self) {
             self.out.finish();
-            if let Some(path) = &self.timing {
-                let jsonl = self.engine.timing_jsonl(self.label);
-                write_file(path, jsonl.as_bytes());
-            }
             if let Some(path) = &self.metrics {
                 let report = self.engine.run_metrics(self.label);
                 let mut body = report.to_json().render();

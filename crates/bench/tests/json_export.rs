@@ -73,7 +73,9 @@ fn json_flag_requires_path() {
 
 #[test]
 fn unknown_or_missing_name_lists_the_registry() {
-    for args in [&["table9"][..], &[]] {
+    // `--timing` is not a flag (per-cell wall times live in `--metrics`), so
+    // it reads as extra positional arguments.
+    for args in [&["table9"][..], &[], &["table1", "--timing", "x"]] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
             .output()

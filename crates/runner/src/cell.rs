@@ -155,7 +155,7 @@ impl CellSpec {
     /// the workload/budget/seed dimensions. Detailed cells map to the
     /// paper's machine names (`base`, `ci`, `ci_i`) plus the window size;
     /// ideal cells to the model name plus window; study cells to `study`.
-    /// Joinable across `--timing` lines and `RunMetrics`.
+    /// Carried by every cell record of `RunMetrics`.
     #[must_use]
     pub fn family(&self) -> String {
         match self {

@@ -1,6 +1,6 @@
 //! The experiment engine: a memo cache of simulation cells fronted by the
 //! work-stealing pool, with optional on-disk persistence and per-cell
-//! timing exported through the `ci-obs` metrics layer.
+//! timing reported in [`RunMetrics`].
 
 use crate::cell::{fnv1a, CellOutput, CellSpec, SharedInputs};
 use crate::fault::FaultPlan;
@@ -11,7 +11,7 @@ use crate::pool::run_batch;
 use ci_core::{PipelineConfig, Stats};
 use ci_ideal::{IdealResult, ModelKind};
 use ci_obs::json::{parse, JsonValue};
-use ci_obs::{MetricsProbe, Registry};
+use ci_obs::MetricsProbe;
 use ci_workloads::Workload;
 use std::collections::HashSet;
 use std::io::Write;
@@ -68,8 +68,8 @@ impl Default for EngineOptions {
     }
 }
 
-/// One recorded cell request (computed or cache hit), with the labels that
-/// make timing data joinable with [`RunMetrics`].
+/// One recorded cell request (computed or cache hit), with the labels
+/// [`RunMetrics`] reports it under.
 struct CellTiming {
     spec: String,
     label: String,
@@ -349,67 +349,6 @@ impl Engine {
             } => (len, predictions, mispredictions),
             other => panic!("study cell produced {other:?}"),
         }
-    }
-
-    /// Per-cell timing and cache counters as a `ci-obs` [`Registry`]:
-    /// an aggregate `cell_wall_us` histogram, one `cell_us.<key> = micros`
-    /// counter per computed cell, and `cells_*` cache counters. Export with
-    /// [`Registry::to_jsonl`].
-    #[must_use]
-    pub fn timing_registry(&self) -> Registry {
-        let mut r = Registry::new();
-        r.inc("cells_computed", self.cells_computed());
-        r.inc("cells_cache_hits", self.cache_hits());
-        r.inc("cells_loaded_from_disk", self.cells_loaded());
-        r.inc("cache_corrupt_lines", self.corrupt_lines());
-        r.inc(
-            "cache_quarantined_files",
-            self.quarantined.lock().unwrap().len() as u64,
-        );
-        r.inc("faults_injected", self.faults_injected());
-        let bounds: Vec<u64> = (0..=24).map(|p| 1u64 << p).collect(); // 1us..16s
-        let timing = self.timing.lock().unwrap();
-        for t in timing.cells.iter().filter(|t| t.disposition == "computed") {
-            let us = u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX);
-            r.observe("cell_wall_us", &bounds, us);
-            r.inc(
-                &format!("cell_us.{:016x}", fnv1a(t.spec.as_bytes())),
-                us.max(1),
-            );
-        }
-        r
-    }
-
-    /// The full `--timing` export: the [`Engine::timing_registry`] lines
-    /// plus one labelled line per cell request —
-    /// `{"metric":"cell","key":..,"label":..,"workload":..,"family":..,
-    /// "wall_us":..,"disposition":"computed|memo_hit|disk_hit",...}` — so
-    /// timing data joins with [`RunMetrics`] without guesswork.
-    #[must_use]
-    pub fn timing_jsonl(&self, binary: &str) -> String {
-        let mut out = self.timing_registry().to_jsonl(&[("binary", binary)]);
-        let timing = self.timing.lock().unwrap();
-        for t in &timing.cells {
-            let line = JsonValue::obj([
-                ("metric", JsonValue::from("cell")),
-                (
-                    "key",
-                    JsonValue::Str(format!("{:016x}", fnv1a(t.spec.as_bytes()))),
-                ),
-                ("label", JsonValue::Str(t.label.clone())),
-                ("workload", t.workload.into()),
-                ("family", JsonValue::Str(t.family.clone())),
-                (
-                    "wall_us",
-                    u64::try_from(t.wall.as_micros()).unwrap_or(u64::MAX).into(),
-                ),
-                ("disposition", t.disposition.into()),
-                ("binary", binary.into()),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        out
     }
 
     /// The run-level [`RunMetrics`] report: labelled per-cell costs

@@ -14,8 +14,8 @@
 //!   in-flight deduplication), shares [`CellOutput`]s across every
 //!   referencing table, and optionally persists them as JSONL under a cache
 //!   directory for resumable runs.
-//! - Per-cell wall times are exported through the `ci-obs` metrics layer
-//!   ([`Engine::timing_registry`]).
+//! - Per-cell wall times, cache dispositions and pool statistics are
+//!   reported in one `run_metrics/v1` document ([`Engine::run_metrics`]).
 //!
 //! Cell outputs are pure functions of their specs, and table assembly is
 //! serial, so rendered experiment output is **byte-identical for every
