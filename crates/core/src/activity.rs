@@ -7,6 +7,12 @@
 //! polled cycles visible and giving the planned event-driven-wakeup rewrite
 //! its before/after yardstick.
 //!
+//! It also counts how much work the event-driven stages did: entries
+//! scanned, examined, discarded, squashed and redispatched. These work
+//! counters are deterministic — they do not move with host load — so the
+//! root `tests/golden.rs` pins them per cell (`tests/golden/work_counters.txt`)
+//! and an algorithmic regression fails the same way on every host.
+//!
 //! The counters are a host-side measurement aid, deliberately kept out of
 //! [`crate::Stats`]: the simulated machine and its golden-pinned statistics
 //! are untouched.
@@ -46,6 +52,21 @@ pub struct CycleActivity {
     pub retired: u64,
     /// Sum of end-of-cycle window occupancy (for the average).
     pub occupancy_sum: u64,
+    /// Store-set entries scanned by executed loads (the store set's length,
+    /// added once per load execution).
+    pub store_scans: u64,
+    /// Ready-set entries examined by the issue stage (the ready set's
+    /// length, added once per issue stage).
+    pub ready_examined: u64,
+    /// Completion events drained by writeback and discarded as stale
+    /// (re-issued, squashed, already completed or duplicated).
+    pub completions_stale: u64,
+    /// Control-watch-list entries walked by misprediction detection.
+    pub ctrl_examined: u64,
+    /// Instructions removed from the window (calls to `squash_one`).
+    pub squashed: u64,
+    /// Instructions redispatched (calls to `redispatch_one`).
+    pub redispatched: u64,
     // Per-cycle scratch, folded in by `end_cycle`.
     pub(crate) cur_fetched: u32,
     pub(crate) cur_issued: u32,
@@ -139,10 +160,21 @@ impl CycleActivity {
             "idle",
             pct(self.idle_cycles)
         ));
+        out.push_str(&format!(
+            "  work: {} store scans, {} ready examined, {} stale completions, \
+             {} ctrl examined, {} squashed, {} redispatched\n",
+            self.store_scans,
+            self.ready_examined,
+            self.completions_stale,
+            self.ctrl_examined,
+            self.squashed,
+            self.redispatched
+        ));
         out
     }
 
-    /// The counters as one JSON object.
+    /// The counters as one JSON object: every counter as an integer, plus
+    /// the derived `avg_occupancy`.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj([
@@ -157,7 +189,14 @@ impl CycleActivity {
             ("issued", self.issued.into()),
             ("completed", self.completed.into()),
             ("retired", self.retired.into()),
+            ("occupancy_sum", self.occupancy_sum.into()),
             ("avg_occupancy", self.avg_occupancy().into()),
+            ("store_scans", self.store_scans.into()),
+            ("ready_examined", self.ready_examined.into()),
+            ("completions_stale", self.completions_stale.into()),
+            ("ctrl_examined", self.ctrl_examined.into()),
+            ("squashed", self.squashed.into()),
+            ("redispatched", self.redispatched.into()),
         ])
     }
 }
@@ -189,10 +228,24 @@ mod tests {
         assert_eq!(a.retired, 1);
         assert_eq!(a.occupancy_sum, 37);
         assert!((a.avg_occupancy() - 9.25).abs() < 1e-12);
+        // Work counters are plain totals: end_cycle leaves them alone.
+        a.store_scans = 12;
+        a.squashed = 3;
+        a.end_cycle(7, false);
+        assert_eq!((a.store_scans, a.squashed, a.redispatched), (12, 3, 0));
         let text = a.summary();
         assert!(text.contains("no-progress"));
         assert!(text.contains("fetch"));
-        let json = a.to_json().render();
-        assert!(ci_obs::json::parse(&json).is_ok());
+        assert!(text.contains("12 store scans"), "{text}");
+        assert!(text.contains("3 squashed"), "{text}");
+        let json = ci_obs::json::parse(&a.to_json().render()).expect("valid JSON");
+        assert_eq!(
+            json.get("store_scans").and_then(JsonValue::as_i64),
+            Some(12)
+        );
+        assert_eq!(
+            json.get("occupancy_sum").and_then(JsonValue::as_i64),
+            Some(44)
+        );
     }
 }

@@ -34,6 +34,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         // the survivors by window position. The set may hold stale ids
         // (squashed entries, lapsed flags); the predicate filters them.
         let mut cands = self.take_keyed();
+        self.activity.ready_examined += self.wake.ready.len() as u64;
         for i in 0..self.wake.ready.len() {
             let id = self.wake.ready[i];
             if !self.wake.is_ready_flagged(id) || !self.rob.alive(id) {
@@ -111,6 +112,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 // walk: an unordered pass computes the same two facts.
                 let mut forward: Option<(u64, InstId)> = None;
                 let mut unknown_older_store = false;
+                self.activity.store_scans += self.wake.stores.len() as u64;
                 for i in 0..self.wake.stores.len() {
                     let sid = self.wake.stores[i];
                     if !self.rob.alive(sid) {
@@ -235,9 +237,10 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 cands.push((self.rob.key(id), id));
             }
         }
-        self.put_ids(due);
         cands.sort_unstable();
         cands.dedup();
+        self.activity.completions_stale += (due.len() - cands.len()) as u64;
+        self.put_ids(due);
         for &(_, id) in &cands {
             if !self.rob.alive(id)
                 || self.wake.status_of(id) != Status::Executing

@@ -25,6 +25,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
         // influenced its in-order gate.
         let mut cands = self.take_keyed();
         let mut watch = std::mem::take(&mut self.wake.ctrl);
+        self.activity.ctrl_examined += watch.len() as u64;
         watch.retain(|&id| {
             if !self.wake.is_watched(id) {
                 return false;
@@ -337,6 +338,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// Remove one instruction from the window, repairing loads that
     /// forwarded from a squashed store.
     pub(crate) fn squash_one(&mut self, id: InstId) {
+        self.activity.squashed += 1;
         let (is_store, pc) = {
             let e = self.rob.get(id);
             (
@@ -702,6 +704,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
     /// updated intended successor PC (for fetch resumption when it is the
     /// tail).
     fn redispatch_one(&mut self, id: InstId) -> Option<Pc> {
+        self.activity.redispatched += 1;
         // Remap sources against the running map.
         let mut renamed = false;
         let (class, pc, inst, state) = {

@@ -1,10 +1,13 @@
 //! Golden-file tests: pin the rendered text of the paper's Table 1, Table 2,
-//! Table 3, Table 4, Figure 3 and Figure 8 at a small fixed scale.
+//! Table 3, Table 4, Figure 3 and Figure 8 at a small fixed scale, plus the
+//! detailed pipeline's per-stage work counters.
 //!
 //! These tables fold in nearly every layer of the simulator — workload
 //! generation, the emulator oracle, predictors, the detailed pipeline with
 //! selective squash, and the report renderer — so any unintended behavioral
-//! change anywhere shows up as a table diff. To bless an intended change,
+//! change anywhere shows up as a table diff. The work counters catch what
+//! the tables cannot: a change that keeps every simulated result but makes
+//! a stage do more work. To bless an intended change,
 //! regenerate with:
 //!
 //! ```text
@@ -12,10 +15,13 @@
 //! ```
 
 use control_independence::ci_explore::{ExploreReport, Sweep};
+use control_independence::ci_obs::JsonValue;
 use control_independence::experiments::{
     figure3, figure8, table1, table2, table3, table4, Scale, FIGURE3_WINDOWS,
 };
-use control_independence::prelude::Engine;
+use control_independence::prelude::{
+    simulate_profiled, Engine, NoopProbe, NoopProfiler, PipelineConfig, Workload, WorkloadParams,
+};
 use std::path::PathBuf;
 
 const SCALE: Scale = Scale {
@@ -87,4 +93,52 @@ fn explore_smoke_grid_is_pinned() {
         text.push('\n');
     }
     check_golden("explore.txt", &text);
+}
+
+#[test]
+fn work_counters_are_pinned() {
+    // One line per w256 cell of every workload on BASE, CI and CI-instant:
+    // each `CycleActivity` counter as `name=value`. The counters are
+    // deterministic, so a stage that starts scanning, examining or
+    // discarding more entries fails here identically on every host, even
+    // when every simulated result stays the same.
+    type ConfigCtor = fn(usize) -> PipelineConfig;
+    let configs: [(&str, ConfigCtor); 3] = [
+        ("base", PipelineConfig::base),
+        ("ci", PipelineConfig::ci),
+        ("ci_i", PipelineConfig::ci_instant),
+    ];
+    let mut text = String::new();
+    for workload in Workload::ALL {
+        let program = workload.build(&WorkloadParams {
+            scale: workload.scale_for(SCALE.instructions),
+            seed: SCALE.seed,
+        });
+        for (name, make) in configs {
+            let run = simulate_profiled(
+                &program,
+                make(256),
+                SCALE.instructions,
+                NoopProbe,
+                NoopProfiler,
+            )
+            .expect("workloads are valid programs");
+            let JsonValue::Obj(fields) = run.activity.to_json() else {
+                unreachable!("CycleActivity::to_json is an object")
+            };
+            let counters: Vec<String> = fields
+                .iter()
+                .filter_map(|(k, v)| match v {
+                    JsonValue::I64(n) => Some(format!("{k}={n}")),
+                    _ => None, // the derived avg_occupancy
+                })
+                .collect();
+            text.push_str(&format!(
+                "{}/{name}/w256 {}\n",
+                workload.name(),
+                counters.join(" ")
+            ));
+        }
+    }
+    check_golden("work_counters.txt", &text);
 }
