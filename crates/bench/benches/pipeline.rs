@@ -3,10 +3,10 @@
 //! configuration of the paper — BASE, CI and CI-I — on one representative
 //! workload: the cost of the control-independence machinery itself.
 //!
-//! The `throughput` *binary* is the full sweep (all five workloads, JSON
-//! report, baseline gate); this bench tracks the same quantity inside the
-//! Criterion suite so `cargo bench` catches simulator slowdowns alongside
-//! the component benches.
+//! The repository benchmark's `core-base`/`core-ci` workloads time the full
+//! sweep (all five workloads); this bench tracks the same quantity inside
+//! the Criterion suite so `cargo bench` catches simulator slowdowns
+//! alongside the component benches.
 
 use ci_core::{simulate, PipelineConfig};
 use ci_workloads::{Workload, WorkloadParams};

@@ -2,8 +2,8 @@
 //!
 //! `repro <name>` regenerates one table or figure of the paper (or `all` of
 //! them) from the registry in `experiments::EXPERIMENTS`; `explore`,
-//! `inspect`, `fuzz`, `profile` and `throughput` sweep, inspect, fuzz and
-//! profile the simulator (see `DESIGN.md` for the index). The Criterion
+//! `inspect`, `fuzz` and `profile` sweep, inspect, fuzz and profile the
+//! simulator (see `DESIGN.md` for the index). The Criterion
 //! benches under `benches/` track the *simulator's own* performance. Scale
 //! the experiments with `CI_REPRO_INSTRUCTIONS=<n>`.
 //!
