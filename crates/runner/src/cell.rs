@@ -397,4 +397,58 @@ mod tests {
         assert_ne!(d.key(), st.key());
         assert_ne!(i.key(), st.key());
     }
+
+    const SEED: u64 = 0x5EED;
+
+    /// Per workload, a budget its program halts before reaching (the
+    /// program is built for the budget, so it has to be found per workload).
+    const PAST_END: [(Workload, u64); 5] = [
+        (Workload::GccLike, 4_000),
+        (Workload::GoLike, 10_000),
+        (Workload::CompressLike, 1_000),
+        (Workload::JpegLike, 4_000),
+        (Workload::VortexLike, 10_000),
+    ];
+
+    #[test]
+    fn shared_reference_is_the_functional_trace() {
+        // The correct path every cell checks against must be exactly what
+        // the functional emulator executes, both when the budget cuts the
+        // program short and when the program halts first.
+        for (w, past_end) in PAST_END {
+            for n in [60_000, past_end] {
+                let shared = SharedInputs::new();
+                let program = shared.program(w, n, SEED);
+                let want = ci_emu::run_trace(&program, n).unwrap();
+                assert!(n != past_end || want.completed(), "{w} halts before {n}");
+                assert_eq!(shared.study_input(w, n, SEED).trace(), &want, "{w} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn engine_detailed_cells_match_a_direct_simulation() {
+        let engine = crate::Engine::serial();
+        let (w, n) = (Workload::GoLike, 10_000);
+        let program = w.build(&WorkloadParams {
+            scale: w.scale_for(n),
+            seed: SEED,
+        });
+        for config in [
+            PipelineConfig::base(256),
+            PipelineConfig::ci(256),
+            PipelineConfig::ci_instant(256),
+        ] {
+            let spec = CellSpec::Detailed {
+                workload: w,
+                config,
+                instructions: n,
+                seed: SEED,
+            };
+            let out = engine.cell(&spec);
+            let (stats, probe) = simulate_probed(&program, config, n, MetricsProbe::new()).unwrap();
+            assert_eq!(out.stats(), &stats, "{}", spec.family());
+            assert_eq!(out.probe(), &probe, "{}", spec.family());
+        }
+    }
 }
