@@ -17,9 +17,10 @@ use ci_bpred::{
     ConfidenceEstimator, CorrelatedTargetBuffer, GlobalHistory, Gshare, ReturnAddressStack,
     TfrTable,
 };
-use ci_emu::{run_trace_profiled, DynInst, EmuError, Memory};
+use ci_emu::{ArchReference, EmuError, Memory, Trace};
 use ci_isa::{Addr, Inst, InstClass, Pc, Program, Reg};
 use ci_obs::{Event, NoopProbe, NoopProfiler, Probe, Profiler};
+use std::sync::Arc;
 
 /// A renamed source operand.
 #[derive(Clone, Copy, Debug)]
@@ -161,9 +162,9 @@ pub struct Pipeline<'p, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     pub(crate) activity: CycleActivity,
     pub(crate) program: &'p Program,
     pub(crate) cfg: PipelineConfig,
-    // Architectural reference.
-    pub(crate) oracle: Vec<DynInst>,
-    pub(crate) oracle_hist: Vec<GlobalHistory>,
+    /// Architectural reference, shared with every other machine simulated
+    /// on the same program and budget.
+    pub(crate) oracle: Arc<ArchReference>,
     // Machine state.
     pub(crate) rob: Rob<Entry>,
     pub(crate) regs: PhysRegFile,
@@ -240,9 +241,9 @@ impl<'p, P: Probe> Pipeline<'p, P> {
 
 impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// Build a pipeline whose events feed `probe` and whose host time is
-    /// attributed through `profiler` (a `"setup"` span covers the
-    /// architectural-reference construction; [`Pipeline::run`] adds the
-    /// per-stage spans).
+    /// attributed through `profiler`: a `"setup"` span covers building the
+    /// pipeline's own architectural reference (with the emulation under
+    /// `"emu_trace"`), and [`Pipeline::run`] adds the per-stage spans.
     ///
     /// # Errors
     /// Propagates [`EmuError`] if the program's correct path leaves the
@@ -256,34 +257,39 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     ) -> Result<Pipeline<'p, P, F>, EmuError> {
         let mut prof = profiler;
         prof.enter("setup");
-        let trace = match run_trace_profiled(program, max_insts, &mut prof) {
-            Ok(t) => t,
-            Err(e) => {
-                prof.exit();
-                return Err(e);
-            }
-        };
-        let oracle: Vec<DynInst> = trace.into_insts();
-        // Prefix global histories for the oracle-GHR mode (Figure 12).
-        let mut oracle_hist = Vec::with_capacity(oracle.len() + 1);
-        let mut h = GlobalHistory::new();
-        for d in &oracle {
-            oracle_hist.push(h);
-            if d.class() == InstClass::CondBranch {
-                h.push(d.taken);
-            }
-        }
-        oracle_hist.push(h);
+        let reference = ArchReference::build_profiled(program, max_insts, &mut prof);
         prof.exit();
+        Ok(Pipeline::with_reference(
+            program,
+            config,
+            Arc::new(reference?),
+            probe,
+            prof,
+        ))
+    }
 
-        Ok(Pipeline {
+    /// Build a pipeline that checks against an architectural reference the
+    /// caller already built for `program` — typically one `Arc` shared by
+    /// every machine simulated on the same program and budget. No set-up
+    /// span is recorded: there is nothing left to emulate.
+    ///
+    /// A reference of another program makes the run panic at the first
+    /// retirement that disagrees with it, as any divergence does.
+    #[must_use]
+    pub fn with_reference(
+        program: &'p Program,
+        config: PipelineConfig,
+        reference: Arc<ArchReference>,
+        probe: P,
+        prof: F,
+    ) -> Pipeline<'p, P, F> {
+        Pipeline {
             probe,
             prof,
             activity: CycleActivity::default(),
             program,
             cfg: config,
-            oracle,
-            oracle_hist,
+            oracle: reference,
             rob: Rob::new(config.segment),
             regs: PhysRegFile::new(),
             map: MapTable::initial(),
@@ -315,7 +321,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             scratch_ids: Vec::new(),
             scratch_keyed: Vec::new(),
             scratch_found: Vec::new(),
-        })
+        }
     }
 
     /// Check an id scratch buffer out of the pool.
@@ -420,6 +426,13 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         self.oracle.len() as u64
     }
 
+    /// The architectural reference this pipeline checks retirements
+    /// against.
+    #[must_use]
+    pub fn reference(&self) -> &Arc<ArchReference> {
+        &self.oracle
+    }
+
     /// Shared view of the attached probe.
     #[must_use]
     pub fn probe(&self) -> &P {
@@ -455,11 +468,16 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     /// Force the architectural reference at retired-index `idx` onto a
     /// bogus PC, so the next retirement at that index trips the oracle
     /// checker. Exists so tests can exercise the failure path (the
-    /// flight-recorder dump); never call it otherwise.
+    /// flight-recorder dump); never call it otherwise. The pipeline switches
+    /// to a private copy of the reference, so other holders of the shared
+    /// one are unaffected — the only place a reference is ever copied.
     #[doc(hidden)]
     pub fn corrupt_oracle_entry(&mut self, idx: usize) {
-        if let Some(o) = self.oracle.get_mut(idx) {
+        let mut insts = self.oracle.insts().to_vec();
+        if let Some(o) = insts.get_mut(idx) {
             o.pc = Pc(o.pc.0 ^ 0x8000_0000);
+            let trace = Trace::from_parts(insts, self.oracle.completed());
+            self.oracle = Arc::new(ArchReference::from_trace(trace));
         }
     }
 
@@ -844,7 +862,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
         // Predict the next PC.
         let ghr_before = self.fetch.ghr;
         let hist = if self.cfg.oracle_ghr {
-            oracle_idx.map_or(ghr_before, |i| self.oracle_hist[i])
+            oracle_idx.map_or(ghr_before, |i| self.oracle.history_before(i))
         } else {
             ghr_before
         };

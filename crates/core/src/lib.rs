@@ -133,12 +133,16 @@ pub struct ProfiledRun<P, F> {
 /// *host* wall time to pipeline stages through `profiler` and collects
 /// per-cycle stage-activity counters.
 ///
-/// The span tree has a `"setup"` root covering architectural-reference
-/// construction (with the functional emulation under `"emu_trace"`) and a
-/// `"cycle_loop"` root whose children are the per-stage spans: `complete`,
-/// `recovery`, `retire`, `fetch` (which includes dispatch), and `issue`
-/// (which includes execution). Profilers observe host time only — the
-/// simulated machine and its [`Stats`] are unchanged.
+/// The span tree has a `"setup"` root covering the construction of the
+/// pipeline's own architectural reference (with the functional emulation
+/// under `"emu_trace"`) and a `"cycle_loop"` root whose children are the
+/// per-stage spans: `complete`, `recovery`, `retire`, `fetch` (which
+/// includes dispatch), and `issue` (which includes execution). The set-up
+/// spans appear only because this function builds a private reference; a
+/// pipeline given a shared one ([`Pipeline::with_reference`], as every
+/// detailed cell of a `ci-runner` sweep is) records only `"cycle_loop"`.
+/// Profilers observe host time only — the simulated machine and its
+/// [`Stats`] are unchanged.
 ///
 /// # Errors
 /// Propagates [`EmuError`] if the program's correct path leaves the program.

@@ -779,7 +779,8 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             let current_dir = current_next == target;
             let e = self.rob.get(id);
             let hist = if self.cfg.oracle_ghr {
-                e.oracle_idx.map_or(ghr_now, |i| self.oracle_hist[i])
+                e.oracle_idx
+                    .map_or(ghr_now, |i| self.oracle.history_before(i))
             } else {
                 ghr_now
             };

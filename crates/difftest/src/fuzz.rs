@@ -19,8 +19,9 @@ use crate::coverage::CoverageMap;
 use crate::mutate::mutate;
 use crate::shrink::shrink;
 use crate::spec::TrialSpec;
-use crate::trial::{check_program, check_program_cov, Failure};
+use crate::trial::{check_program, check_reference_cov, Failure};
 use crate::TrialCoverage;
+use ci_emu::ArchReference;
 use ci_obs::json::JsonValue;
 use ci_report::{f as fmt_f, Table};
 use ci_workloads::{random_structured, SplitMix64, StructuredProgram};
@@ -516,22 +517,21 @@ pub fn run_campaign(opts: &FuzzOptions) -> Result<FuzzSummary, String> {
 
 fn run_task(task: &RoundTask) -> TrialResult {
     let program = task.program.emit();
-    if matches!(task.kind, TaskKind::Mutated { .. }) {
-        // Pre-screen mutants: a well-formed mutant always halts, but
-        // stacked duplications can push its dynamic length past the trial
-        // budget — that is a rejected input, not a finding.
-        match ci_emu::run_trace(&program, task.spec.max_insts) {
-            Ok(trace) if trace.completed() => {}
-            _ => {
-                return TrialResult {
-                    rejected: true,
-                    failures: Vec::new(),
-                    coverage: TrialCoverage::default(),
-                }
-            }
-        }
+    let reference = ArchReference::build(&program, task.spec.max_insts);
+    // Pre-screen mutants: a well-formed mutant always halts, but stacked
+    // duplications can push its dynamic length past the trial budget — that
+    // is a rejected input, not a finding. The trial then checks against the
+    // same reference.
+    if matches!(task.kind, TaskKind::Mutated { .. })
+        && !reference.as_ref().is_ok_and(ArchReference::completed)
+    {
+        return TrialResult {
+            rejected: true,
+            failures: Vec::new(),
+            coverage: TrialCoverage::default(),
+        };
     }
-    let (_, failures, coverage) = check_program_cov(&program, &task.spec);
+    let (_, failures, coverage) = check_reference_cov(&program, &task.spec, reference);
     TrialResult {
         rejected: false,
         failures,

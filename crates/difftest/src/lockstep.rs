@@ -2,10 +2,11 @@
 //! functional emulator, with panic capture and retirement-stream logging.
 
 use ci_core::{Pipeline, PipelineConfig, Stats};
-use ci_emu::Trace;
+use ci_emu::{ArchReference, Trace};
 use ci_isa::Program;
-use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, Probe};
+use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, NoopProfiler, Probe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Probe used by every lockstep run: a bounded flight recorder (for failure
 /// transcripts), an independent log of retired PCs (so the harness
@@ -63,6 +64,18 @@ pub struct LockstepRun {
 }
 
 impl LockstepRun {
+    /// A run that died with `msg` before producing statistics.
+    fn died(msg: String) -> LockstepRun {
+        LockstepRun {
+            stats: None,
+            retired_pcs: Vec::new(),
+            panic: Some(msg),
+            flight: String::new(),
+            coverage: CoverageSignature::new(),
+            max_restart_depth: 0,
+        }
+    }
+
     /// Whether the run completed and its retired PC stream is bit-identical
     /// to the emulator's correct-path trace.
     #[must_use]
@@ -106,23 +119,33 @@ pub fn run_locked(
     max_insts: u64,
     corrupt: Option<usize>,
 ) -> LockstepRun {
-    run_locked_salted(program, config, max_insts, corrupt, 0)
+    match ArchReference::build(program, max_insts) {
+        Ok(reference) => run_locked_salted(program, config, &Arc::new(reference), corrupt, 0),
+        Err(e) => LockstepRun::died(format!("trial programs have valid traces: {e}")),
+    }
 }
 
-/// [`run_locked`] with an explicit coverage salt: every edge the run's
-/// coverage recorder sets folds `salt` in, so different machine variants
-/// and handling modes land in distinct regions of the campaign map.
+/// [`run_locked`] against a correct-path reference the caller built once
+/// for `program` (a trial shares one across all its machines), with an
+/// explicit coverage salt: every edge the run's coverage recorder sets
+/// folds `salt` in, so different machine variants and handling modes land
+/// in distinct regions of the campaign map.
 #[must_use]
 pub fn run_locked_salted(
     program: &Program,
     config: PipelineConfig,
-    max_insts: u64,
+    reference: &Arc<ArchReference>,
     corrupt: Option<usize>,
     salt: u64,
 ) -> LockstepRun {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut p = Pipeline::with_probe(program, config, max_insts, DiffProbe::with_salt(salt))
-            .expect("trial programs have valid traces");
+        let mut p = Pipeline::with_reference(
+            program,
+            config,
+            Arc::clone(reference),
+            DiffProbe::with_salt(salt),
+            NoopProfiler,
+        );
         if let Some(idx) = corrupt {
             p.corrupt_oracle_entry(idx);
         }
@@ -139,21 +162,13 @@ pub fn run_locked_salted(
             max_restart_depth: probe.coverage.max_depth(),
             coverage: probe.coverage.into_signature(),
         },
-        Err(payload) => {
-            let msg = payload
+        Err(payload) => LockstepRun::died(
+            payload
                 .downcast_ref::<String>()
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            LockstepRun {
-                stats: None,
-                retired_pcs: Vec::new(),
-                panic: Some(msg),
-                flight: String::new(),
-                coverage: CoverageSignature::new(),
-                max_restart_depth: 0,
-            }
-        }
+                .unwrap_or_else(|| "non-string panic payload".to_owned()),
+        ),
     }
 }
 

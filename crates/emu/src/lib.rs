@@ -15,6 +15,9 @@
 //!   false data dependences instead of ignoring them as Lam & Wilson's
 //!   trace-driven study did.
 //! - [`Trace`] / [`run_trace`]: whole-program correct-path traces.
+//! - [`ArchReference`]: a correct-path trace plus its branch-history prefix,
+//!   built once per program and budget and shared through an `Arc` by every
+//!   simulator that checks against it.
 //!
 //! # Example
 //!
@@ -43,9 +46,11 @@ mod dyninst;
 mod emulator;
 pub mod exec;
 mod memory;
+mod reference;
 mod wrongpath;
 
 pub use dyninst::{DynInst, Trace};
-pub use emulator::{run_trace, run_trace_profiled, EmuError, Emulator};
+pub use emulator::{run_trace, EmuError, Emulator};
 pub use memory::Memory;
+pub use reference::ArchReference;
 pub use wrongpath::WrongPathEmu;

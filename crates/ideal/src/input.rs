@@ -3,9 +3,10 @@
 
 use ci_bpred::{PredictorConfig, PredictorSuite};
 use ci_cfg::ReconvergenceMap;
-use ci_emu::{DynInst, EmuError, Emulator, Trace};
+use ci_emu::{ArchReference, DynInst, EmuError, Emulator, Trace};
 use ci_isa::{Addr, InstClass, Program, Reg};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A register source with its producing instruction (`None` = initial state).
 pub(crate) type RegDep = (Reg, Option<u32>);
@@ -78,13 +79,14 @@ impl MispredictEvent {
     }
 }
 
-/// Everything the idealized models consume: the correct-path [`Trace`], its
-/// oracle dependence graph, and one [`MispredictEvent`] per mispredicted
-/// control instruction (under the paper's retirement-order gshare/CTB/RAS
-/// prediction).
+/// Everything the idealized models consume: the correct-path
+/// [`ArchReference`] (shared, not copied, with any detailed pipeline run on
+/// the same program and budget), its oracle dependence graph, and one
+/// [`MispredictEvent`] per mispredicted control instruction (under the
+/// paper's retirement-order gshare/CTB/RAS prediction).
 #[derive(Clone, Debug)]
 pub struct StudyInput {
-    pub(crate) trace: Trace,
+    pub(crate) reference: Arc<ArchReference>,
     pub(crate) deps: Vec<Deps>,
     /// Per trace index: the instruction's class, decoded once here so the
     /// timing loop never re-decodes it.
@@ -131,6 +133,37 @@ impl StudyInput {
         max_insts: u64,
         predictor: PredictorConfig,
     ) -> Result<StudyInput, EmuError> {
+        StudyInput::build_inner(program, max_insts, None, predictor)
+    }
+
+    /// [`StudyInput::build`] over a correct-path reference already built for
+    /// `program`, which the input then shares instead of keeping its own
+    /// copy of the instructions. The emulator still steps the correct path
+    /// (wrong paths fork from its state) and checks every instruction
+    /// against the reference.
+    ///
+    /// # Panics
+    /// Panics if `reference` is not `program`'s correct path.
+    #[must_use]
+    pub fn build_on(program: &Program, reference: Arc<ArchReference>) -> StudyInput {
+        let budget = reference.len() as u64;
+        StudyInput::build_inner(
+            program,
+            budget,
+            Some(reference),
+            PredictorConfig::paper_default(),
+        )
+        .expect("a program with a correct-path reference emulates cleanly")
+    }
+
+    /// The one construction loop: with `shared`, the emulated path is
+    /// checked against it; without, it is collected into a new reference.
+    fn build_inner(
+        program: &Program,
+        max_insts: u64,
+        shared: Option<Arc<ArchReference>>,
+        predictor: PredictorConfig,
+    ) -> Result<StudyInput, EmuError> {
         let recon_map = ReconvergenceMap::compute(program);
         let mut emu = Emulator::new(program);
         let mut suite = PredictorSuite::new(predictor);
@@ -146,10 +179,10 @@ impl StudyInput {
         let mut last_writer: [Option<u32>; Reg::COUNT] = [None; Reg::COUNT];
         let mut last_store: HashMap<Addr, u32> = HashMap::new();
 
-        while !emu.halted() && (insts.len() as u64) < max_insts {
+        let mut i = 0u32;
+        while !emu.halted() && u64::from(i) < max_insts {
             let pc = emu.pc();
             let Some(d) = emu.step()? else { break };
-            let i = insts.len() as u32;
 
             // Oracle dependence edges (pre-update state).
             let class = d.class();
@@ -226,10 +259,28 @@ impl StudyInput {
                 }
             }
 
-            insts.push(d);
+            match &shared {
+                Some(r) => assert!(
+                    r.insts().get(i as usize) == Some(&d),
+                    "instruction {i} differs from the shared reference"
+                ),
+                None => insts.push(d),
+            }
             deps.push(dd);
             classes.push(class);
+            i += 1;
         }
+        let reference = shared.unwrap_or_else(|| {
+            Arc::new(ArchReference::from_trace(Trace::from_parts(
+                insts,
+                emu.halted(),
+            )))
+        });
+        assert!(
+            reference.len() == i as usize && reference.completed() == emu.halted(),
+            "the shared reference is not this program's correct path"
+        );
+        let insts = reference.insts();
 
         // Post-pass: locate each event's reconvergent instruction on the
         // correct path.
@@ -255,7 +306,7 @@ impl StudyInput {
         wrong_base.push(total);
 
         Ok(StudyInput {
-            trace: Trace::from_parts(insts, emu.halted()),
+            reference,
             deps,
             classes,
             events,
@@ -268,19 +319,25 @@ impl StudyInput {
     /// The correct-path trace.
     #[must_use]
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.reference.trace()
+    }
+
+    /// The shared correct-path reference the trace belongs to.
+    #[must_use]
+    pub fn reference(&self) -> &Arc<ArchReference> {
+        &self.reference
     }
 
     /// Number of correct-path dynamic instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.trace.len()
+        self.reference.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
+        self.reference.is_empty()
     }
 
     /// Control instructions that required prediction.

@@ -249,7 +249,7 @@ impl<P: Probe> Sim<'_, P> {
     /// The PC of correct-path instruction `i`; wrong-path items report
     /// their mispredicted branch's PC.
     fn pc(&self, i: u32) -> u32 {
-        self.input.trace[i as usize].pc.0
+        self.input.reference[i as usize].pc.0
     }
 
     fn item_pc(&self, item: Item) -> u32 {
@@ -420,7 +420,9 @@ impl<P: Probe> Sim<'_, P> {
                 }
             }
             if self.input.classes[i as usize] == InstClass::Load {
-                let a = self.input.trace[i as usize].addr.expect("load has addr");
+                let a = self.input.reference[i as usize]
+                    .addr
+                    .expect("load has addr");
                 if ev.wrong_stores_to(a) && deps.mem.is_none_or(|p| p <= b) {
                     return false;
                 }

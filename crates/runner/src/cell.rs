@@ -12,10 +12,11 @@
 //! cache and in timing reports.
 
 use crate::memo::Memo;
-use ci_core::{simulate_probed, PipelineConfig, RedispatchMode, SquashMode, Stats};
+use ci_core::{Pipeline, PipelineConfig, RedispatchMode, SquashMode, Stats};
+use ci_emu::ArchReference;
 use ci_ideal::{simulate as simulate_ideal, IdealConfig, IdealResult, ModelKind, StudyInput};
 use ci_isa::Program;
-use ci_obs::MetricsProbe;
+use ci_obs::{MetricsProbe, NoopProfiler};
 use ci_workloads::{Workload, WorkloadParams};
 use std::fmt;
 use std::sync::Arc;
@@ -173,22 +174,24 @@ impl CellSpec {
     }
 
     /// Run the simulation this spec describes. Pure: the output depends only
-    /// on the spec (shared program/study-input builds are memoized in
-    /// `shared` but do not change results).
+    /// on the spec (shared program, reference and study-input builds are
+    /// memoized in `shared` but do not change results).
     #[must_use]
     pub fn compute(&self, shared: &SharedInputs) -> CellOutput {
         match *self {
             CellSpec::Detailed {
                 workload,
-                config,
                 instructions,
                 seed,
+                ..
             } => {
                 let program = shared.program(workload, instructions, seed);
-                let (stats, probe) =
-                    simulate_probed(&program, config, instructions, MetricsProbe::new())
-                        .expect("workloads are valid programs");
-                CellOutput::Detailed { stats, probe }
+                let mut pipeline = self.pipeline(&program, shared);
+                let stats = pipeline.run();
+                CellOutput::Detailed {
+                    stats,
+                    probe: pipeline.into_probe(),
+                }
             }
             CellSpec::Ideal {
                 workload,
@@ -220,6 +223,31 @@ impl CellSpec {
                 }
             }
         }
+    }
+
+    /// The pipeline a detailed cell runs: `program` checked against the
+    /// shared reference of its workload, budget and seed.
+    fn pipeline<'p>(
+        &self,
+        program: &'p Program,
+        shared: &SharedInputs,
+    ) -> Pipeline<'p, MetricsProbe> {
+        let CellSpec::Detailed {
+            workload,
+            config,
+            instructions,
+            seed,
+        } = *self
+        else {
+            unreachable!("only detailed cells run a pipeline")
+        };
+        Pipeline::with_reference(
+            program,
+            config,
+            shared.reference(workload, instructions, seed),
+            MetricsProbe::new(),
+            NoopProfiler,
+        )
     }
 }
 
@@ -270,14 +298,19 @@ impl CellOutput {
     }
 }
 
-/// Memoized program and study-input builds shared by all cells of a run.
+/// Memoized program, architectural-reference and study-input builds shared
+/// by all cells of a run, each keyed by (workload, budget, seed).
 ///
-/// Building a workload's [`Program`] is cheap, but a [`StudyInput`] replays
-/// the functional emulator over the whole instruction budget — comparable to
-/// one simulation — and Figure 3 alone references it 30 times per workload.
+/// Building a workload's [`Program`] is cheap, but its [`ArchReference`]
+/// emulates the whole instruction budget and a [`StudyInput`] does that
+/// again with wrong paths — comparable to one simulation — while `repro all`
+/// runs 28 detailed machines and Figure 3 30 ideal ones per workload. Every
+/// detailed cell and the study input borrow the one reference; nothing
+/// copies it.
 #[derive(Default)]
 pub struct SharedInputs {
     programs: Memo<(&'static str, u64, u64), Arc<Program>>,
+    references: Memo<(&'static str, u64, u64), Arc<ArchReference>>,
     inputs: Memo<(&'static str, u64, u64), Arc<StudyInput>>,
 }
 
@@ -301,16 +334,30 @@ impl SharedInputs {
             .0
     }
 
-    /// The workload's study input at this budget/seed, built once.
+    /// The workload's correct-path reference at this budget/seed, built
+    /// once.
+    #[must_use]
+    pub fn reference(&self, w: Workload, instructions: u64, seed: u64) -> Arc<ArchReference> {
+        let program = self.program(w, instructions, seed);
+        self.references
+            .get_or_compute((w.name(), instructions, seed), || {
+                Arc::new(
+                    ArchReference::build(&program, instructions)
+                        .expect("workloads are valid programs"),
+                )
+            })
+            .0
+    }
+
+    /// The workload's study input at this budget/seed, built once on the
+    /// shared [`SharedInputs::reference`].
     #[must_use]
     pub fn study_input(&self, w: Workload, instructions: u64, seed: u64) -> Arc<StudyInput> {
         let program = self.program(w, instructions, seed);
         self.inputs
             .get_or_compute((w.name(), instructions, seed), || {
-                Arc::new(
-                    StudyInput::build(&program, instructions)
-                        .expect("workloads are valid programs"),
-                )
+                let reference = self.reference(w, instructions, seed);
+                Arc::new(StudyInput::build_on(&program, reference))
             })
             .0
     }
@@ -414,13 +461,25 @@ mod tests {
     fn shared_reference_is_the_functional_trace() {
         // The correct path every cell checks against must be exactly what
         // the functional emulator executes, both when the budget cuts the
-        // program short and when the program halts first.
+        // program short and when the program halts first, and its history
+        // prefix exactly the conditional-branch outcomes before each
+        // instruction.
         for (w, past_end) in PAST_END {
             for n in [60_000, past_end] {
                 let shared = SharedInputs::new();
                 let program = shared.program(w, n, SEED);
                 let want = ci_emu::run_trace(&program, n).unwrap();
                 assert!(n != past_end || want.completed(), "{w} halts before {n}");
+                let reference = shared.reference(w, n, SEED);
+                assert_eq!(reference.trace(), &want, "{w} n={n}");
+                let mut h = ci_bpred::GlobalHistory::new();
+                for (i, d) in want.iter().enumerate() {
+                    assert_eq!(reference.history_before(i), h, "{w} n={n} at {i}");
+                    if d.class() == ci_isa::InstClass::CondBranch {
+                        h.push(d.taken);
+                    }
+                }
+                assert_eq!(reference.history_before(want.len()), h, "{w} n={n}");
                 assert_eq!(shared.study_input(w, n, SEED).trace(), &want, "{w} n={n}");
             }
         }
@@ -434,6 +493,9 @@ mod tests {
             scale: w.scale_for(n),
             seed: SEED,
         });
+        let shared = SharedInputs::new();
+        let study = shared.study_input(w, n, SEED);
+        let shared_program = shared.program(w, n, SEED);
         for config in [
             PipelineConfig::base(256),
             PipelineConfig::ci(256),
@@ -446,9 +508,14 @@ mod tests {
                 seed: SEED,
             };
             let out = engine.cell(&spec);
-            let (stats, probe) = simulate_probed(&program, config, n, MetricsProbe::new()).unwrap();
+            let (stats, probe) =
+                ci_core::simulate_probed(&program, config, n, MetricsProbe::new()).unwrap();
             assert_eq!(out.stats(), &stats, "{}", spec.family());
             assert_eq!(out.probe(), &probe, "{}", spec.family());
+            // Built once: the cell's pipeline borrows the very reference
+            // the study input holds.
+            let pipeline = spec.pipeline(&shared_program, &shared);
+            assert!(Arc::ptr_eq(pipeline.reference(), study.reference()));
         }
     }
 }
