@@ -71,6 +71,13 @@ impl ReturnAddressStack {
         self.stack.len()
     }
 
+    /// The stacked return addresses, oldest first (the next
+    /// [`ReturnAddressStack::pop`] returns the last one).
+    #[must_use]
+    pub fn entries(&self) -> &[Pc] {
+        &self.stack
+    }
+
     /// Snapshot the entire stack for later [`ReturnAddressStack::restore`].
     #[must_use]
     pub fn snapshot(&self) -> ReturnAddressStack {
@@ -108,6 +115,7 @@ mod tests {
         r.push(Pc(2));
         r.push(Pc(3));
         assert_eq!(r.depth(), 2);
+        assert_eq!(r.entries(), &[Pc(2), Pc(3)]);
         assert_eq!(r.pop(), Some(Pc(3)));
         assert_eq!(r.pop(), Some(Pc(2)));
         assert_eq!(r.pop(), None);

@@ -808,7 +808,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
             ghr.push(Some(redirect) == e.inst.static_target());
         }
         let snap = e.ras_after.clone();
-        self.restore_ras(snap.as_ref());
+        self.restore_ras(snap.as_deref());
         self.fetch.ghr = ghr;
         self.fetch.pc = redirect;
         self.fetch.stalled = false;
@@ -931,17 +931,7 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
 
         let ras_after = class
             .is_control()
-            .then(|| self.fetch.ras.snapshot())
-            .map(|s| {
-                // Store the raw stack contents.
-                let mut v = Vec::new();
-                let mut s = s;
-                while let Some(pc) = s.pop() {
-                    v.push(pc);
-                }
-                v.reverse();
-                v
-            });
+            .then(|| self.fetch.ras.entries().to_vec());
 
         let entry = Entry {
             inst,
@@ -1017,12 +1007,10 @@ impl<'p, P: Probe, F: Profiler> Pipeline<'p, P, F> {
     }
 
     /// Restore a RAS snapshot stored on an entry into the fetch context.
-    pub(crate) fn restore_ras(&mut self, snapshot: Option<&Vec<Pc>>) {
+    pub(crate) fn restore_ras(&mut self, snapshot: Option<&[Pc]>) {
         let mut ras = ReturnAddressStack::bounded(64);
-        if let Some(v) = snapshot {
-            for &pc in v {
-                ras.push(pc);
-            }
+        for &pc in snapshot.unwrap_or_default() {
+            ras.push(pc);
         }
         self.fetch.ras = ras;
     }

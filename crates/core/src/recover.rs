@@ -314,7 +314,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             };
             let snap = e.ras_after.clone();
             if snap.is_some() {
-                self.restore_ras(snap.as_ref());
+                self.restore_ras(snap.as_deref());
             }
             self.map = self.map_at(tail);
             self.fetch.stalled = false;
@@ -449,7 +449,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     ras: ci_bpred::ReturnAddressStack::bounded(64),
                     stalled: false,
                 };
-                self.restore_ras(ras_snap.as_ref());
+                self.restore_ras(ras_snap.as_deref());
                 self.fetch.ghr = ghr;
                 self.fetch.pc = rec.redirect;
                 self.fetch.stalled = false;
@@ -512,7 +512,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                     started_at: self.now,
                     inserted: 0,
                 });
-                self.restore_ras(ras_snap.as_ref());
+                self.restore_ras(ras_snap.as_deref());
                 self.fetch.ghr = ghr;
                 self.fetch.pc = rec.redirect;
                 self.fetch.stalled = false;
@@ -656,7 +656,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
                 let resume_pc = self.rob.get(rs.cursor).pred_next;
                 let ghr = self.rob.get(rs.cursor).ghr_before;
                 let ras_snap = self.rob.get(rs.cursor).ras_after.clone();
-                self.restore_ras(ras_snap.as_ref());
+                self.restore_ras(ras_snap.as_deref());
                 self.fetch.ghr = ghr;
                 self.fetch.pc = resume_pc;
                 self.fetch.stalled = false;
@@ -711,10 +711,9 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             let Sequencer::Redispatch(rd) = &self.seq else {
                 unreachable!()
             };
-            let map = rd.map.clone();
             let e = self.rob.get_mut(id);
             for slot in e.srcs.iter_mut().flatten() {
-                let np = map.get(slot.arch);
+                let np = rd.map.get(slot.arch);
                 if np != slot.phys {
                     slot.phys = np;
                     renamed = true;
@@ -848,13 +847,7 @@ impl<P: Probe, F: Profiler> Pipeline<'_, P, F> {
             let Sequencer::Redispatch(rd) = &self.seq else {
                 unreachable!()
             };
-            let mut snap = rd.ras.snapshot();
-            let mut v = Vec::new();
-            while let Some(p) = snap.pop() {
-                v.push(p);
-            }
-            v.reverse();
-            self.rob.get_mut(id).ras_after = Some(v);
+            self.rob.get_mut(id).ras_after = Some(rd.ras.entries().to_vec());
         }
 
         if let Some(n) = pred_next {
