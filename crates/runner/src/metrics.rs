@@ -70,7 +70,7 @@ pub struct PoolReport {
 }
 
 /// The run-level metrics report (see the module docs).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// The binary that produced the report.
     pub binary: String,
@@ -191,7 +191,7 @@ impl RunMetrics {
             p.jobs,
             p.steals,
             100.0 * p.utilization(),
-            p.threads.max(1),
+            p.threads,
         )
     }
 }
@@ -257,23 +257,21 @@ mod tests {
 
     #[test]
     fn empty_run_is_safe() {
-        let m = RunMetrics {
-            binary: "x".into(),
-            workers: 1,
-            cells_computed: 0,
-            memo_hits: 0,
-            disk_hits: 0,
-            cells_loaded: 0,
-            corrupt_lines: 0,
-            quarantined_files: 0,
-            faults_injected: 0,
-            compute_wall_us: 0,
-            cells: Vec::new(),
-            pool: PoolReport::default(),
-            sweep: None,
-        };
+        let m = RunMetrics::default();
         assert_eq!(m.hit_rate(), 0.0);
         assert!(ci_obs::json::parse(&m.to_json().render()).is_ok());
+    }
+
+    #[test]
+    fn summary_reports_the_pool_thread_count_the_json_does() {
+        // A run that never used the pool (a binary that simulates
+        // directly) has no threads to report, in either form.
+        let m = RunMetrics::default();
+        let json = ci_obs::json::parse(&m.to_json().render()).unwrap();
+        let threads = json.get("pool").unwrap().get("threads").unwrap();
+        assert_eq!(threads.as_i64(), Some(0));
+        assert!(m.summary().contains("over 0 threads"), "{}", m.summary());
+        assert!(sample().summary().contains("over 2 threads"));
     }
 
     #[test]

@@ -39,10 +39,59 @@ fn check_golden(name: &str, actual: &str) {
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|_| panic!("missing {}; run with UPDATE_GOLDEN=1", path.display()));
-    assert_eq!(
-        expected, actual,
-        "{name} drifted from the golden file; if intended, regenerate with UPDATE_GOLDEN=1"
-    );
+    if expected != actual {
+        panic!(
+            "{}if intended, regenerate with UPDATE_GOLDEN=1",
+            first_difference(name, &expected, actual)
+        );
+    }
+}
+
+/// Where `actual` first departs from the golden `expected`: the 1-based
+/// line number with both versions of the line and, when the line is a list
+/// of `name=value` fields (as in `work_counters.txt`), the first field that
+/// differs. Lines split on `\n` alone, so a missing final newline or a
+/// stray `\r` is a difference too.
+fn first_difference(name: &str, expected: &str, actual: &str) -> String {
+    let (mut want, mut got) = (expected.split('\n'), actual.split('\n'));
+    for line in 1.. {
+        let (w, g) = (want.next(), got.next());
+        if w == g && w.is_some() {
+            continue;
+        }
+        let show = |l: Option<&str>| l.map_or("<end of file>".to_owned(), |l| format!("{l:?}"));
+        let mut report = format!(
+            "{name} drifted from the golden file at line {line}:\n  expected: {}\n  actual:   {}\n",
+            show(w),
+            show(g)
+        );
+        let fields = w
+            .unwrap_or_default()
+            .split_whitespace()
+            .zip(g.unwrap_or_default().split_whitespace());
+        if let Some((wf, gf)) = fields
+            .filter(|(wf, gf)| wf.contains('=') && gf.contains('='))
+            .find(|(wf, gf)| wf != gf)
+        {
+            report.push_str(&format!("  first differing field: {wf} -> {gf}\n"));
+        }
+        return report;
+    }
+    unreachable!("differing texts differ on some line")
+}
+
+#[test]
+fn drift_report_names_the_first_differing_line_and_field() {
+    let expected = "go/base/w256 cycles=10 ready_examined=5 squashed=2\nnext\n";
+    let actual = "go/base/w256 cycles=10 ready_examined=7 squashed=3\nnext\n";
+    let report = first_difference("work_counters.txt", expected, actual);
+    assert!(report.contains("at line 1:"), "{report}");
+    assert!(report.contains("\"go/base/w256 cycles=10 ready_examined=5 squashed=2\""));
+    assert!(report.contains("first differing field: ready_examined=5 -> ready_examined=7"));
+    let truncated = first_difference("table1.txt", "a\nb", "a");
+    assert!(truncated.contains("at line 2:"), "{truncated}");
+    assert!(truncated.contains("actual:   <end of file>"), "{truncated}");
+    assert!(!truncated.contains("field"), "{truncated}");
 }
 
 #[test]
