@@ -432,3 +432,45 @@ fn workloads_all_verify_under_every_major_mode() {
         }
     }
 }
+
+#[test]
+fn pipelines_on_one_shared_reference_match_private_ones() {
+    use ci_core::Pipeline;
+    use ci_emu::ArchReference;
+    use ci_obs::{NoopProbe, NoopProfiler};
+    use std::sync::Arc;
+
+    let program = Workload::GoLike.build(&WorkloadParams {
+        scale: 100,
+        seed: 7,
+    });
+    let built = ArchReference::build(&program, 20_000).unwrap();
+    let reference = Arc::new(built.clone());
+    for config in [
+        PipelineConfig::base(128),
+        PipelineConfig::ci(128),
+        PipelineConfig::ci_instant(128),
+    ] {
+        let mut p = Pipeline::with_reference(
+            &program,
+            config,
+            Arc::clone(&reference),
+            NoopProbe,
+            NoopProfiler,
+        );
+        assert!(Arc::ptr_eq(p.reference(), &reference));
+        assert_eq!(p.run(), simulate(&program, config, 20_000).unwrap());
+    }
+    // The failure-path hook corrupts a private copy, never the shared one.
+    let mut p = Pipeline::with_reference(
+        &program,
+        PipelineConfig::ci(128),
+        Arc::clone(&reference),
+        NoopProbe,
+        NoopProfiler,
+    );
+    p.corrupt_oracle_entry(3);
+    assert!(!Arc::ptr_eq(p.reference(), &reference));
+    assert_ne!(p.reference()[3], reference[3]);
+    assert_eq!(*reference, built);
+}

@@ -469,6 +469,35 @@ mod tests {
     }
 
     #[test]
+    fn building_on_a_shared_reference_matches_a_private_build() {
+        let p = Workload::GccLike.build(&WorkloadParams {
+            scale: 200,
+            seed: 5,
+        });
+        let own = StudyInput::build(&p, 30_000).unwrap();
+        let reference = Arc::new(ArchReference::build(&p, 30_000).unwrap());
+        let shared = StudyInput::build_on(&p, Arc::clone(&reference));
+        assert!(Arc::ptr_eq(shared.reference(), &reference));
+        assert_eq!(own.reference(), shared.reference());
+        assert_eq!(own.predictions(), shared.predictions());
+        let shape = |s: &StudyInput| -> Vec<_> {
+            s.events()
+                .iter()
+                .map(|e| (e.branch_index(), e.reconvergent_index(), e.wrong_path_len()))
+                .collect()
+        };
+        assert_eq!(shape(&own), shape(&shared));
+    }
+
+    #[test]
+    #[should_panic(expected = "differs from the shared reference")]
+    fn a_reference_of_another_program_is_refused() {
+        let other = Workload::GoLike.build(&WorkloadParams { scale: 20, seed: 5 });
+        let reference = Arc::new(ArchReference::build(&other, 1_000).unwrap());
+        let _ = StudyInput::build_on(&diamond_loop(), reference);
+    }
+
+    #[test]
     fn oracle_style_history_learns_alternation() {
         // After warmup the alternating diamond should be predicted well:
         // mispredictions should be a small fraction.
