@@ -5,6 +5,7 @@ use ci_core::{Pipeline, PipelineConfig, Stats};
 use ci_emu::{ArchReference, Trace};
 use ci_isa::Program;
 use ci_obs::{CoverageRecorder, CoverageSignature, Event, FlightRecorder, NoopProfiler, Probe};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -162,14 +163,17 @@ pub fn run_locked_salted(
             max_restart_depth: probe.coverage.max_depth(),
             coverage: probe.coverage.into_signature(),
         },
-        Err(payload) => LockstepRun::died(
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned()),
-        ),
+        Err(payload) => LockstepRun::died(panic_message(payload.as_ref())),
     }
+}
+
+/// The message a caught panic carried.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 #[cfg(test)]

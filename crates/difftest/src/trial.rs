@@ -1,7 +1,7 @@
 //! One fuzz trial: generate, run every model in lockstep, check invariants.
 
 use crate::coverage::{trial_salts, TrialCoverage};
-use crate::lockstep::run_locked_salted;
+use crate::lockstep::{panic_message, run_locked_salted};
 use crate::spec::TrialSpec;
 use ci_core::{CacheModel, SquashMode, Stats};
 use ci_emu::{ArchReference, EmuError};
@@ -300,15 +300,10 @@ fn ideal_invariants(
     let results = match run {
         Ok(r) => r,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
             failures.push(Failure {
                 kind: FailureKind::Panic,
                 model: "ideal".to_owned(),
-                detail: msg,
+                detail: panic_message(payload.as_ref()),
                 flight: String::new(),
             });
             return failures;
