@@ -127,13 +127,6 @@ impl Trace {
         &self.insts
     }
 
-    /// Consume the trace, returning its instructions in execution order
-    /// without copying them.
-    #[must_use]
-    pub fn into_insts(self) -> Vec<DynInst> {
-        self.insts
-    }
-
     /// The `i`-th dynamic instruction.
     #[must_use]
     pub fn get(&self, i: usize) -> Option<&DynInst> {
@@ -193,8 +186,6 @@ mod tests {
         assert_eq!(t.iter().count(), t.len());
         assert_eq!((&t).into_iter().count(), t.len());
         assert!(t.get(100).is_none());
-        let copy = t.insts().to_vec();
-        assert_eq!(t.into_insts(), copy);
     }
 
     #[test]
